@@ -33,6 +33,7 @@ from ._util import as_rng, random_unit_vector, spawn_rngs
 from .errors import (
     CalibrationError,
     DimensionMismatch,
+    InvalidParameter,
     NonConvexParameters,
     ZeroActionStart,
 )
@@ -72,6 +73,14 @@ class CapacityResult:
         return out
 
 
+# L-BFGS-B settings and the p-norm that smooths polytope supports for the
+# optimizer; the reported value always re-evaluates with the exact support
+MAX_ITERATIONS = 5000
+F_RTOL = 1e-12
+G_TOL = 1e-10
+SMOOTHING_P = 40.0
+
+
 @dataclass
 class OptimizerConfig:
     """Knobs for the Clarke dual minimization."""
@@ -79,18 +88,15 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 8
     points: int = 256
-    max_iterations: int = 5000
-    f_rtol: float = 1e-12
-    g_tol: float = 1e-10
-    smoothing_p: float = 40.0
-    norm_sign: float = -1.0
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.norm_sign not in (-1.0, 1.0):
-            raise ValueError("norm_sign must be -1.0 or +1.0")
         if self.points < 3:
-            raise ValueError("need at least 3 loop points")
+            raise InvalidParameter("need at least 3 loop points")
+        if self.restarts < 1:
+            raise InvalidParameter("need at least 1 restart")
+        if self.symmetric and self.points % 2 != 0:
+            raise InvalidParameter("symmetric mode needs an even number of points")
 
 
 def frame_for(body: ConvexBody) -> SymplecticFrame:
@@ -102,53 +108,22 @@ def frame_for(body: ConvexBody) -> SymplecticFrame:
 
 
 # ---------------------------------------------------------------------------
-# Edge norm ||v|| = h_K(-J v) and its smoothed polytope variant
+# Edge norm ||v|| = h_K(-J v) and the dual functional
 # ---------------------------------------------------------------------------
 
-def clarke_edge_norm(body: ConvexBody, v, norm_sign: float = -1.0):
-    """The dual edge norm ||v|| = h_K(norm_sign * J v), vectorized.
+def clarke_edge_norm(body: ConvexBody, v):
+    """The dual edge norm ||v|| = h_K(-J v), vectorized.
 
-    For centrally symmetric bodies the sign choice is irrelevant because the
-    support function is even.
+    The sign of J is a convention: reversing a loop maps one choice onto the
+    other and keeps |A|, so the minimum does not depend on it.
     """
     frame = frame_for(body)
-    return body.support(norm_sign * frame.apply_j(np.asarray(v, dtype=float)))
-
-
-def _support_and_points(body, u, smoothing_p):
-    """Support values and maximizing points for a batch of directions.
-
-    Smooth bodies are exact; polytopes are smoothed with a p-norm of the
-    positive vertex scores.  The smoothed value dominates the exact support,
-    so the resulting capacity values keep their upper bound meaning.
-    """
-    if isinstance(body, Polytope):
-        verts = body.vertices
-        z = u @ verts.T
-        zmax = np.max(z, axis=-1)
-        safe = np.where(zmax <= 0.0, 1.0, zmax)
-        zc = np.clip(z, 0.0, None) / safe[..., None]
-        p = smoothing_p
-        s = np.sum(zc**p, axis=-1)
-        # a zero edge gives z == 0 everywhere; its support is 0 and the zero
-        # vector is a valid subgradient there
-        s_safe = np.where(s <= 0.0, 1.0, s)
-        h = np.where(s <= 0.0, 0.0, safe * s_safe ** (1.0 / p))
-        w = zc ** (p - 1.0) / s_safe[..., None] ** ((p - 1.0) / p)
-        return h, w @ verts
-    if isinstance(body, Ellipsoid):
-        mu = u @ body._inv
-        quad = np.maximum(np.sum(mu * u, axis=-1), 1e-300)
-        root = np.sqrt(quad)
-        return u @ body.center + root, body.center + mu / root[..., None]
-    # generic smooth body: support_point is the gradient of the support
-    return body.support(u), body.support_point(u)
+    return body.support(-frame.apply_j(np.asarray(v, dtype=float)))
 
 
 def clarke_functional(
     body: ConvexBody,
     vertices,
-    norm_sign: float = -1.0,
     smoothing_p: Optional[float] = None,
 ) -> float:
     """c(gamma) = L(gamma)^2 / (4 |A(gamma)|) for a discrete loop.
@@ -162,11 +137,11 @@ def clarke_functional(
         dtype=float,
     )
     edges = np.roll(x, -1, axis=0) - x
-    u = norm_sign * frame.apply_j(edges)
+    u = -frame.apply_j(edges)
     if smoothing_p is None:
         lengths = body.support(u)
     else:
-        lengths, _ = _support_and_points(body, u, smoothing_p)
+        lengths, _ = body.smoothed_support_and_point(u, smoothing_p)
     length = float(np.sum(lengths))
     a = float(frame.polygon_action(x))
     if a == 0.0:
@@ -174,14 +149,18 @@ def clarke_functional(
     return length**2 / (4.0 * abs(a))
 
 
-def _functional_with_grad(body, frame, x, norm_sign, smoothing_p):
+def _functional_with_grad(body, frame, x):
+    """The functional and its gradient; polytope supports are smoothed."""
     edges = np.roll(x, -1, axis=0) - x
-    u = norm_sign * frame.apply_j(edges)
-    h, s = _support_and_points(body, u, smoothing_p)
+    u = -frame.apply_j(edges)
+    if body.is_smooth:
+        h, s = body.support_and_point(u)
+    else:
+        h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
     length = float(np.sum(h))
     a = float(frame.polygon_action(x))
-    # dL/dx_k = norm_sign * J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
-    grad_len = norm_sign * frame.apply_j(s - np.roll(s, 1, axis=0))
+    # dL/dx_k = -J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
+    grad_len = -frame.apply_j(s - np.roll(s, 1, axis=0))
     grad_act = 0.5 * frame.apply_j(np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0))
     val = length**2 / (4.0 * abs(a))
     grad = (length / (2.0 * abs(a))) * grad_len - math.copysign(
@@ -266,26 +245,20 @@ def clarke_minimize(
     config = config or OptimizerConfig()
     frame = frame_for(body)
     n_pts = config.points
-    if config.symmetric and n_pts % 2 != 0:
-        raise ValueError("symmetric mode needs an even number of points")
-    smoothing = config.smoothing_p if isinstance(body, Polytope) else None
+    half = n_pts // 2
     scale = 0.5 * body.outer_radius()
 
-    def objective_full(flat):
-        x = flat.reshape(n_pts, frame.dim)
-        val, grad = _functional_with_grad(
-            body, frame, x, config.norm_sign, smoothing
-        )
-        return val, grad.ravel()
+    # symmetric mode optimizes the half y of the loop (y, -y): the same
+    # functional composed with this expansion, its gradient folded back
+    def expand(flat):
+        x = flat.reshape(-1, frame.dim)
+        return np.vstack([x, -x]) if config.symmetric else x
 
-    def objective_sym(flat):
-        y = flat.reshape(n_pts // 2, frame.dim)
-        x = np.vstack([y, -y])
-        val, grad = _functional_with_grad(
-            body, frame, x, config.norm_sign, smoothing
-        )
-        gy = grad[: n_pts // 2] - grad[n_pts // 2 :]
-        return val, gy.ravel()
+    def objective(flat):
+        val, grad = _functional_with_grad(body, frame, expand(flat))
+        if config.symmetric:
+            grad = grad[:half] - grad[half:]
+        return val, grad.ravel()
 
     best_x = None
     best_val = math.inf
@@ -304,37 +277,21 @@ def clarke_minimize(
         if frame.polygon_action(x0) < 0:
             x0 = x0[::-1].copy()
         if config.symmetric:
-            half = n_pts // 2
-            y0 = 0.5 * (x0[:half] - np.roll(x0, -half, axis=0)[:half])
-            res = minimize(
-                objective_sym,
-                y0.ravel(),
-                jac=True,
-                method="L-BFGS-B",
-                options={
-                    "maxiter": config.max_iterations,
-                    "ftol": config.f_rtol,
-                    "gtol": config.g_tol,
-                    "maxcor": 20,
-                },
-            )
-            y = res.x.reshape(half, frame.dim)
-            x_final = np.vstack([y, -y])
-        else:
-            res = minimize(
-                objective_full,
-                x0.ravel(),
-                jac=True,
-                method="L-BFGS-B",
-                options={
-                    "maxiter": config.max_iterations,
-                    "ftol": config.f_rtol,
-                    "gtol": config.g_tol,
-                    "maxcor": 20,
-                },
-            )
-            x_final = res.x.reshape(n_pts, frame.dim)
-        value = clarke_functional(body, x_final, config.norm_sign)
+            x0 = 0.5 * (x0[:half] - np.roll(x0, -half, axis=0)[:half])
+        res = minimize(
+            objective,
+            x0.ravel(),
+            jac=True,
+            method="L-BFGS-B",
+            options={
+                "maxiter": MAX_ITERATIONS,
+                "ftol": F_RTOL,
+                "gtol": G_TOL,
+                "maxcor": 20,
+            },
+        )
+        x_final = expand(res.x)
+        value = clarke_functional(body, x_final)
         restart_values.append(value)
         iterations.append(int(res.nit))
         converged_flags.append(bool(res.success))
@@ -348,19 +305,18 @@ def clarke_minimize(
         best_x = best_x[::-1].copy()
         act = -act
     witness = DiscreteLoop(frame, best_x / math.sqrt(act))
-    value = clarke_functional(body, witness, config.norm_sign)
+    value = clarke_functional(body, witness)
     diagnostics = {
         "restart_values": restart_values,
         "iterations": iterations,
         "converged": converged_flags,
-        "norm_sign": config.norm_sign,
         "points": n_pts,
         "symmetric": config.symmetric,
     }
-    if smoothing is not None:
-        diagnostics["smoothing_p"] = smoothing
+    if not body.is_smooth:
+        diagnostics["smoothing_p"] = SMOOTHING_P
         diagnostics["smoothed_value"] = clarke_functional(
-            body, witness, config.norm_sign, smoothing_p=smoothing
+            body, witness, smoothing_p=SMOOTHING_P
         )
     return CapacityResult(
         value=value, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics

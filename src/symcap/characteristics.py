@@ -22,7 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotSmoothBody, OrbitNotClosed, CalibrationError, StepUnstable
+from .errors import (
+    CalibrationError,
+    InvalidParameter,
+    NotSmoothBody,
+    OrbitNotClosed,
+    StepUnstable,
+)
 from .geometry import ConvexBody, Ellipsoid
 from .symplectic import SymplecticFrame
 
@@ -58,15 +64,13 @@ def integrate_characteristic(
     x0,
     t_max: float,
     step: float = 1e-3,
-    closure_tol: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the boundary characteristic field from a boundary point.
 
     Classical fourth-order Runge-Kutta with radial re-projection after each
     step.  Upward crossings of the start section are recorded with linearly
     interpolated crossing times; the first crossing that returns to within
-    ``closure_tol`` of the start (default 1e-4 times the body diameter)
-    fixes the period estimate.
+    1e-4 times the body diameter of the start fixes the period estimate.
     """
     if not body.is_smooth:
         raise NotSmoothBody(
@@ -77,12 +81,12 @@ def integrate_characteristic(
     x0 = np.asarray(x0, dtype=float)
     g0 = float(body.gauge(x0))
     if abs(g0 - 1.0) > 1e-9:
-        raise ValueError(f"start point must be on the boundary, gauge is {g0!r}")
+        raise InvalidParameter(
+            f"start point must be on the boundary, gauge is {g0!r}"
+        )
     if step <= 0 or t_max <= step:
-        raise ValueError("need 0 < step < t_max")
-    diameter = body.diameter()
-    if closure_tol is None:
-        closure_tol = 1e-4 * diameter
+        raise InvalidParameter("need 0 < step < t_max")
+    closure_tol = 1e-4 * body.diameter()
 
     n_steps = int(math.ceil(t_max / step))
     states = np.empty((n_steps + 1, body.dim))

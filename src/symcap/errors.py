@@ -95,5 +95,11 @@ class OptimizerDidNotConverge(SymcapError, RuntimeError):
         self.gap = gap
 
 
+class InvalidParameter(SymcapError, ValueError):
+    """A value given by the caller is out of range: too few loop points,
+    restarts or neighbors, an odd count where pairs are needed, a flow step
+    outside (0, t_max) or a start point off the boundary."""
+
+
 class SpecParseError(SymcapError, ValueError):
     """A JSON body, loop or suite description does not match the schema."""

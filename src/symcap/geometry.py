@@ -5,6 +5,7 @@ Every body K exposes the same small contract:
 * ``gauge(x)``          Minkowski gauge g_K, 1-homogeneous, 1 on the boundary
 * ``support(u)``        support function h_K(u) = max_{y in K} <u, y>
 * ``support_point(u)``  a maximizer of <u, .> over K
+* ``support_and_point(u)`` both of the above, ``(support(u), support_point(u))``
 * ``gauge_gradient(x)`` gradient (or a deterministic subgradient selection)
 * ``polar()``           the polar body, satisfying h_K = g_{K polar}
 * ``boundary_point(d)`` the boundary point on the ray through d
@@ -91,6 +92,11 @@ class ConvexBody:
         g = self.gauge(d)
         return d / np.asarray(g)[..., None]
 
+    def support_and_point(self, u):
+        """``(support(u), support_point(u))``; bodies override it when the two
+        share work."""
+        return self.support(u), self.support_point(u)
+
     def contains(self, x, tol: float = 0.0):
         return self.gauge(x) <= 1.0 + tol
 
@@ -173,6 +179,15 @@ class Ellipsoid(ConvexBody):
         if np.any(quad == 0.0):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         return self.center + mu / np.sqrt(quad)[..., None]
+
+    def support_and_point(self, u):
+        # one product u M^-1 serves both; the floor keeps a zero direction
+        # finite (support ~0, point c) where support_point would raise
+        u = self._check_vec(u)
+        mu = u @ self._inv
+        quad = np.maximum(np.sum(mu * u, axis=-1), 1e-300)
+        root = np.sqrt(quad)
+        return u @ self.center + root, self.center + mu / root[..., None]
 
     def gauge_gradient(self, x):
         # 0-homogeneous: evaluate the outward normal at the boundary point
@@ -426,6 +441,28 @@ class Polytope(ConvexBody):
         scores = u @ self.vertices.T
         idx = _argmax_with_rank(scores, self._vertex_rank)
         return self.vertices[idx]
+
+    def smoothed_support_and_point(self, u, p: float):
+        """Smooth upper approximation of ``support_and_point``.
+
+        The support max_i <u, v_i> is replaced by the p-norm of the positive
+        vertex scores, and the point by its gradient.  The smoothed value
+        dominates the exact support, so capacity values computed with it keep
+        their upper bound meaning.
+        """
+        u = self._check_vec(u)
+        verts = self.vertices
+        z = u @ verts.T
+        zmax = np.max(z, axis=-1)
+        safe = np.where(zmax <= 0.0, 1.0, zmax)
+        zc = np.clip(z, 0.0, None) / safe[..., None]
+        s = np.sum(zc**p, axis=-1)
+        # a zero edge gives z == 0 everywhere; its support is 0 and the zero
+        # vector is a valid subgradient there
+        s_safe = np.where(s <= 0.0, 1.0, s)
+        h = np.where(s <= 0.0, 0.0, safe * s_safe ** (1.0 / p))
+        w = zc ** (p - 1.0) / s_safe[..., None] ** ((p - 1.0) / p)
+        return h, w @ verts
 
     def gauge_gradient(self, x):
         """Subgradient selection: the scaled outward normal n_i / c_i of a

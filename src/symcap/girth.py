@@ -16,8 +16,7 @@ not a discovery, and is flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,12 +28,18 @@ from .errors import (
     BodyNotSymmetric,
     CalibrationError,
     GraphDisconnected,
+    InvalidParameter,
     LoopNotOnBoundary,
     LoopNotSymmetric,
 )
 from .geometry import ConvexBody
 from .loops import DiscreteLoop, resample_polyline
 from .symplectic import SymplecticFrame
+
+
+# vertices of the refined half-curve, and the projected descent's step budget
+REFINE_POINTS = 64
+REFINE_ITERATIONS = 400
 
 
 def schaffer_bound(dim: int) -> float:
@@ -75,9 +80,13 @@ def build_boundary_graph(
     """
     if not body.is_symmetric:
         raise BodyNotSymmetric("boundary graph needs a centrally symmetric body")
+    if k_neighbors < 1:
+        raise InvalidParameter("k_neighbors must be at least 1")
     if directions is None:
-        if n_samples % 2 != 0:
-            raise ValueError("n_samples must be even (antipodal pairing)")
+        if n_samples < 2 or n_samples % 2 != 0:
+            raise InvalidParameter(
+                "n_samples must be a positive even number (antipodal pairing)"
+            )
         rng = as_rng(rng if rng is not None else 0)
         directions = rng.normal(size=(n_samples // 2, body.dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -89,7 +98,18 @@ def build_boundary_graph(
     antipode = np.concatenate(
         [np.arange(p // 2, p), np.arange(0, p // 2)]
     )
+    return BoundaryGraph(
+        body=body,
+        samples=samples,
+        antipode=antipode,
+        graph=_neighbor_graph(body, samples, k_neighbors),
+        k_neighbors=k_neighbors,
+    )
 
+
+def _neighbor_graph(body, samples, k_neighbors) -> csr_matrix:
+    """Each sample joined to its k nearest samples, weighted by the gauge."""
+    p = len(samples)
     tree = cKDTree(samples)
     k = min(k_neighbors + 1, p)
     _, idx = tree.query(samples, k=k)
@@ -97,14 +117,7 @@ def build_boundary_graph(
     cols = idx[:, 1:].ravel()
     weights = body.gauge(samples[cols] - samples[rows])
     graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
-    graph = graph.maximum(graph.T)  # symmetrize the neighbor relation
-    return BoundaryGraph(
-        body=body,
-        samples=samples,
-        antipode=antipode,
-        graph=graph,
-        k_neighbors=k_neighbors,
-    )
+    return graph.maximum(graph.T)  # symmetrize the neighbor relation
 
 
 def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
@@ -165,13 +178,7 @@ def _project(body, pts):
     return body.boundary_point(pts)
 
 
-def refine_symmetric_half(
-    body: ConvexBody,
-    half,
-    max_iterations: int = 400,
-    step0: Optional[float] = None,
-    min_step: float = 1e-12,
-):
+def refine_symmetric_half(body: ConvexBody, half):
     """Monotone projected descent on the half-curve's gauge length.
 
     Every trial point is re-projected to the boundary before evaluation and
@@ -180,10 +187,10 @@ def refine_symmetric_half(
     """
     half = _project(body, np.asarray(half, dtype=float))
     length, grad = _half_length_and_grad(body, half)
-    step = step0 if step0 is not None else 0.1 * body.outer_radius()
-    for _ in range(max_iterations):
+    step = 0.1 * body.outer_radius()
+    for _ in range(REFINE_ITERATIONS):
         gn = float(np.max(np.linalg.norm(grad, axis=1)))
-        if gn == 0.0 or step < min_step:
+        if gn == 0.0 or step < 1e-12:
             break
         trial = _project(body, half - step * grad)
         trial_len, trial_grad = _half_length_and_grad(body, trial)
@@ -200,33 +207,28 @@ def symmetric_girth(
     n_samples: int = 4096,
     k_neighbors: int = 12,
     rng=None,
-    refine_points: int = 64,
-    sources: Optional[int] = None,
-    directions=None,
 ):
     """Upper bound for the minimal symmetric closed boundary curve length.
 
-    Searches the boundary graph from samples to their antipodes, doubles the
-    best half-path into an exactly symmetric closed loop, and tightens it by
-    projected descent.  Returns ``(length, loop)``.  ``sources`` limits how
-    many graph sources are searched (deterministically spread over the
-    samples); the default searches all of them.
+    Searches the boundary graph from every sample to its antipode, doubles
+    the best half-path into an exactly symmetric closed loop, and tightens
+    it by projected descent.  Returns ``(length, loop)``.
     """
     bgraph = build_boundary_graph(
-        body,
-        n_samples=n_samples,
-        k_neighbors=k_neighbors,
-        rng=rng,
-        directions=directions,
+        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
     )
     p = bgraph.size
-    if sources is None:
-        candidates = np.arange(p // 2)  # antipodal symmetry halves the work
-    else:
-        candidates = np.unique(
-            np.linspace(0, p // 2 - 1, min(sources, p // 2)).astype(int)
-        )
+    candidates = np.arange(p // 2)  # antipodal symmetry halves the work
     dists = _antipodal_distances(bgraph, candidates)
+    # a 1-dimensional boundary (d = 2) is cut in two by any gap between
+    # samples wider than k neighbors reach; doubling k on the same samples
+    # closes it, and a graph that is already connected stays as it is
+    while not np.all(np.isfinite(dists)) and bgraph.k_neighbors < p - 1:
+        k = 2 * bgraph.k_neighbors
+        bgraph = replace(
+            bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
+        )
+        dists = _antipodal_distances(bgraph, candidates)
     if not np.all(np.isfinite(dists)):
         raise GraphDisconnected(
             "some antipodal pairs are unreachable; increase k_neighbors"
@@ -239,13 +241,13 @@ def symmetric_girth(
     # the final path vertex is the antipode -half[0], which the half-curve
     # representation keeps implicit, so it is dropped after resampling
     half = resample_polyline(
-        half, lambda e: np.linalg.norm(e, axis=-1), refine_points + 1, closed=False
+        half, lambda e: np.linalg.norm(e, axis=-1), REFINE_POINTS + 1, closed=False
     )[:-1]
     half = _project(body, half)
     half, half_len = refine_symmetric_half(body, half)
 
     length = 2.0 * half_len
-    bound = 4.0 + 4.0 / body.dim
+    bound = schaffer_bound(body.dim)
     if length < bound - 1e-2:
         raise CalibrationError(
             f"computed symmetric curve length {length!r} undercuts the "

@@ -231,6 +231,11 @@ def split_at_half_length(loop: DiscreteLoop, body: ConvexBody):
 # Containment score
 # ---------------------------------------------------------------------------
 
+# starts of the smooth-body subgradient descent: the centroid, then random
+# points in the bounding box
+CONTAINMENT_RESTARTS = 20
+
+
 @dataclass
 class ContainmentDetails:
     sigma: float
@@ -243,7 +248,6 @@ class ContainmentDetails:
 def containment_score(
     loop,
     body: ConvexBody,
-    restarts: int = 20,
     gap_tol: float = 1e-7,
     rng=None,
     return_details: bool = False,
@@ -265,7 +269,7 @@ def containment_score(
     if isinstance(body, Polytope):
         details = _containment_lp(pts, body)
     else:
-        details = _containment_descent(pts, body, restarts, gap_tol, as_rng(rng))
+        details = _containment_descent(pts, body, gap_tol, as_rng(rng))
     if details.gap > gap_tol * max(1.0, details.sigma):
         raise OptimizerDidNotConverge(
             f"containment score gap {details.gap:.3e} above tolerance",
@@ -301,7 +305,7 @@ def _containment_lp(pts, body: Polytope) -> ContainmentDetails:
     )
 
 
-def _containment_descent(pts, body, restarts, gap_tol, rng) -> ContainmentDetails:
+def _containment_descent(pts, body, gap_tol, rng) -> ContainmentDetails:
     def objective(t):
         return float(np.max(body.gauge(pts - t)))
 
@@ -313,7 +317,7 @@ def _containment_descent(pts, body, restarts, gap_tol, rng) -> ContainmentDetail
     hi = pts.max(axis=0)
 
     # phase 1: plain subgradient descent with diminishing steps, restarted
-    for r in range(restarts):
+    for r in range(CONTAINMENT_RESTARTS):
         t = best_t if r == 0 else rng.uniform(lo, hi)
         f = objective(t)
         step0 = 0.3 * scale
@@ -512,21 +516,19 @@ def _equalization_newton(pts, body, t0, max_iter=10):
 # CSV export
 # ---------------------------------------------------------------------------
 
-def export_loop_metrics(loops, body: ConvexBody, path, sigma: bool = True):
+def export_loop_metrics(loops, body: ConvexBody, path):
     """Write one CSV row per loop with its basic metrics."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["index", "n_vertices", "gauge_length", "action"]
-        if sigma:
-            header.append("containment_score")
-        writer.writerow(header)
+        writer.writerow(
+            ["index", "n_vertices", "gauge_length", "action", "containment_score"]
+        )
         for i, loop in enumerate(loops):
             row = [
                 i,
                 len(loop),
                 format(gauge_length(loop, body), ".12g"),
                 format(loop.action(), ".12g"),
+                format(containment_score(loop, body), ".12g"),
             ]
-            if sigma:
-                row.append(format(containment_score(loop, body), ".12g"))
             writer.writerow(row)

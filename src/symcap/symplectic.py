@@ -104,15 +104,3 @@ def alpha_m(m: int) -> float:
         return 0.0
     return m / (4.0 * math.tan(math.pi / m))
 
-
-def polygon_action_from_edges(frame: SymplecticFrame, edges) -> np.ndarray:
-    """Action of the closed polygon whose edge vectors are the given rows.
-
-    The edges must sum to (numerically) zero for the polygon to close; the
-    value returned is the action of the polygon anchored at the origin.
-    """
-    edges = np.asarray(edges, dtype=float)
-    vertices = np.concatenate(
-        [np.zeros_like(edges[..., :1, :]), np.cumsum(edges, axis=-2)], axis=-2
-    )[..., :-1, :]
-    return frame.polygon_action(vertices)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -121,7 +120,7 @@ def load_suite(path) -> dict:
     return suite
 
 
-def verify_body(entry: dict, index: int, seed: int, profile_params: dict, tol: float):
+def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
     """Produce the verification record for one suite entry."""
     body_id = str(entry.get("id", f"body{index}"))
     record = VerificationRecord(body_id=body_id, seed=_derived_seed(seed, index))
@@ -214,7 +213,6 @@ def run_verify(
     seed: int = 0,
     profile: str = "fast",
     tol: float = 1e-2,
-    jobs: int = 1,
     timings: bool = False,
 ):
     """Run the suite and persist reports; returns (exit_code, records).
@@ -230,22 +228,9 @@ def run_verify(
             f"unknown profile {profile!r}; available: {sorted(profiles)}"
         )
     params = profiles[profile]
-    bodies = suite["bodies"]
-
-    if jobs > 1 and len(bodies) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(
-                    lambda pair: verify_body(pair[1], pair[0], seed, params, tol),
-                    enumerate(bodies),
-                )
-            )
-    else:
-        records = [
-            verify_body(entry, i, seed, params, tol)
-            for i, entry in enumerate(bodies)
-        ]
-
+    records = [
+        verify_body(entry, i, seed, params) for i, entry in enumerate(suite["bodies"])
+    ]
     write_reports(records, out_dir, seed, profile, tol, timings=timings)
     exit_code = 0 if all(r.passed(tol) for r in records) else 1
     return exit_code, records

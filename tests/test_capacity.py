@@ -104,25 +104,19 @@ def test_edge_norm_is_support_of_rotated_edge():
     v = rng.normal(size=(20, 4))
     expected = body.support(-frame.apply_j(v))
     assert np.allclose(clarke_edge_norm(body, v), expected, rtol=1e-12)
-    # symmetric body: the sign convention cannot matter
-    assert np.allclose(
-        clarke_edge_norm(body, v, norm_sign=1.0),
-        clarke_edge_norm(body, v, norm_sign=-1.0),
-        rtol=1e-12,
-    )
 
 
 def test_functional_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     frame = SymplecticFrame(2)
     x = fourier_loop(rng, frame, n_pts=12)
-    for body, smoothing in [
-        (ball(4), None),
-        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), None),
-        (cube(4), 40.0),
-        (lp_ball(4.0, np.ones(4)), None),
+    for body in [
+        ball(4),
+        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]),
+        cube(4),  # smoothed support
+        lp_ball(4.0, np.ones(4)),
     ]:
-        val, grad = _functional_with_grad(body, frame, x, -1.0, smoothing)
+        val, grad = _functional_with_grad(body, frame, x)
         h = 1e-6
         for _ in range(6):
             i = rng.integers(0, x.shape[0])
@@ -131,19 +125,19 @@ def test_functional_gradient_matches_finite_differences():
             xm = x.copy()
             xp[i, j] += h
             xm[i, j] -= h
-            fp, _ = _functional_with_grad(body, frame, xp, -1.0, smoothing)
-            fm, _ = _functional_with_grad(body, frame, xm, -1.0, smoothing)
+            fp, _ = _functional_with_grad(body, frame, xp)
+            fm, _ = _functional_with_grad(body, frame, xm)
             fd = (fp - fm) / (2 * h)
             assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-7)
 
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(norm_sign=0.5)
-    with pytest.raises(ValueError):
         OptimizerConfig(points=2)
     with pytest.raises(ValueError):
-        clarke_minimize(ball(2), OptimizerConfig(points=31, symmetric=True))
+        OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(points=31, symmetric=True)
 
 
 def test_clarke_ball_planar(clarke_ball2):
@@ -202,16 +196,6 @@ def test_clarke_six_dimensional_ellipsoid():
     exact = ellipsoid_ehz_exact(body)
     assert res.value == pytest.approx(exact.value, rel=0.01)
     assert res.value >= exact.value - 1e-9
-
-
-def test_clarke_norm_sign_agrees_on_symmetric_bodies():
-    vals = {}
-    for sign in (-1.0, 1.0):
-        res = clarke_minimize(
-            ball(2), OptimizerConfig(points=48, restarts=2, seed=5, norm_sign=sign)
-        )
-        vals[sign] = res.value
-    assert vals[-1.0] == pytest.approx(vals[1.0], rel=1e-6)
 
 
 def test_clarke_symmetric_mode(clarke_ball4):

@@ -106,6 +106,9 @@ def test_girth_reports_length_and_margin(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["violation"] is False
     assert payload["margin"] > 0.0
+    # the exit code follows --tol: a margin of 2 pi - 6 falls short of +10
+    code, _, _ = run_cli(capsys, ["girth", body, "--samples", "512", "--tol", "-10"])
+    assert code == 1
 
 
 def test_flow_exports_trajectory(tmp_path, capsys):
@@ -188,32 +191,6 @@ def test_verify_timings_flag_adds_wall_times(tmp_path, capsys):
     assert report["records"][0]["wall_time_s"] > 0.0
 
 
-def test_verify_parallel_jobs_match_serial(tmp_path, capsys):
-    suite = write_json(
-        tmp_path, "suite.json", {"bodies": [BALL2, BALL4], "profiles": TINY_PROFILE}
-    )
-    payloads = []
-    for name, jobs in (("serial", "1"), ("parallel", "2")):
-        out_dir = tmp_path / name
-        code, _, _ = run_cli(
-            capsys,
-            [
-                "verify", suite,
-                "--out", str(out_dir),
-                "--profile", "tiny",
-                "--jobs", jobs,
-            ],
-        )
-        assert code == 0
-        payloads.append(
-            (
-                (out_dir / "report.csv").read_bytes(),
-                (out_dir / "report.json").read_bytes(),
-            )
-        )
-    assert payloads[0] == payloads[1]
-
-
 def test_verify_records_per_body_failures(tmp_path, capsys):
     suite = write_json(
         tmp_path,
@@ -280,6 +257,37 @@ def test_usage_errors_exit_2(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--points", "2"],
+        ["capacity", "--restarts", "0"],
+        ["capacity", "--points", "9", "--symmetric"],
+        ["girth", "--samples", "3"],
+        ["girth", "--samples", "0"],
+        ["girth", "--neighbors", "0"],
+        ["flow", "--start", "1,0", "--tmax", "0.5", "--step", "1"],
+        ["flow", "--start", "2,0", "--tmax", "7"],
+    ],
+    ids=[
+        "too-few-points",
+        "no-restarts",
+        "odd-symmetric-points",
+        "odd-samples",
+        "no-samples",
+        "no-neighbors",
+        "step-beyond-tmax",
+        "start-off-boundary",
+    ],
+)
+def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    code, _, err = run_cli(capsys, [argv[0], body, *argv[1:]])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_numerical_errors_exit_1(tmp_path, capsys):

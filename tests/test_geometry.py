@@ -117,6 +117,20 @@ def test_double_polar_is_identity(name, body):
     assert np.allclose(body.gauge(u), double.gauge(u), rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("name,body", BODIES, ids=[n for n, _ in BODIES])
+def test_support_and_point_matches_parts(name, body):
+    rng = np.random.default_rng(43)
+    u = rng.normal(size=(200, body.dim))
+    h, pt = body.support_and_point(u)
+    assert np.allclose(h, body.support(u), rtol=0.0, atol=1e-12)
+    assert np.allclose(pt, body.support_point(u), rtol=0.0, atol=1e-12)
+    if not body.is_smooth:
+        # the p-norm of m vertex scores lies between h and m^(1/p) h
+        smoothed, _ = body.smoothed_support_and_point(u, 40.0)
+        assert np.all(smoothed >= h - 1e-12)
+        assert np.all(smoothed <= h * len(body.vertices) ** (1.0 / 40.0) + 1e-12)
+
+
 def test_support_known_values():
     rng = np.random.default_rng(23)
     u = rng.normal(size=(100, 4))

@@ -20,6 +20,7 @@ from symcap.girth import (
 )
 from symcap.loops import DiscreteLoop
 from symcap.symplectic import SymplecticFrame
+from symcap.verify import _derived_seed
 
 from helpers import (
     dense_symmetric_boundary_loop,
@@ -98,6 +99,16 @@ def test_girth_ball_planar():
     report = check_schaffer_bound(ball(2), loop)
     assert not report["violation"]
     assert report["margin"] == pytest.approx(2 * math.pi - 6.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("seed", [42, 218])
+def test_girth_ball_planar_wide_sample_gap(seed):
+    # the girth stream verify draws for the 2-d ball at these seeds leaves a
+    # gap on the circle that 12 neighbors do not bridge
+    rng = _derived_seed(seed, 0, 2)
+    length, loop = symmetric_girth(ball(2), n_samples=2048, rng=rng)
+    assert length == pytest.approx(2 * math.pi, rel=1e-3)
+    assert not check_schaffer_bound(ball(2), loop)["violation"]
 
 
 def test_girth_ball_four_dimensional():

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcap.errors import DimensionMismatch, TooFewVertices
-from symcap.symplectic import (
-    SymplecticFrame,
-    alpha_m,
-    polygon_action_from_edges,
-)
+from symcap.symplectic import SymplecticFrame, alpha_m
 
 from helpers import regular_polygon, shoelace_area
 
@@ -137,16 +133,6 @@ def test_action_batched():
     assert vals.shape == (8,)
     for i in range(8):
         assert vals[i] == pytest.approx(frame.polygon_action(batch[i]), rel=1e-14)
-
-
-def test_polygon_action_from_edges_closes():
-    frame = SymplecticFrame(2)
-    rng = np.random.default_rng(8)
-    verts = rng.normal(size=(15, 4))
-    edges = np.roll(verts, -1, axis=0) - verts
-    assert polygon_action_from_edges(frame, edges) == pytest.approx(
-        frame.polygon_action(verts), rel=1e-12
-    )
 
 
 def test_errors():
