@@ -83,9 +83,9 @@ def build_boundary_graph(
     if k_neighbors < 1:
         raise InvalidParameter("k_neighbors must be at least 1")
     if directions is None:
-        if n_samples < 2 or n_samples % 2 != 0:
+        if n_samples < 4 or n_samples % 2 != 0:
             raise InvalidParameter(
-                "n_samples must be a positive even number (antipodal pairing)"
+                "n_samples must be an even number >= 4 (antipodal pairing)"
             )
         rng = as_rng(rng if rng is not None else 0)
         directions = rng.normal(size=(n_samples // 2, body.dim))
@@ -115,6 +115,10 @@ def _neighbor_graph(body, samples, k_neighbors) -> csr_matrix:
     _, idx = tree.query(samples, k=k)
     rows = np.repeat(np.arange(p), k - 1)
     cols = idx[:, 1:].ravel()
+    # a chord to a sample's own antipode passes through 0, where no
+    # boundary ray is defined
+    keep = cols != (rows + p // 2) % p
+    rows, cols = rows[keep], cols[keep]
     weights = body.gauge(samples[cols] - samples[rows])
     graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
     return graph.maximum(graph.T)  # symmetrize the neighbor relation
@@ -174,10 +178,6 @@ def _half_length_and_grad(body, half):
     return length, g
 
 
-def _project(body, pts):
-    return body.boundary_point(pts)
-
-
 def refine_symmetric_half(body: ConvexBody, half):
     """Monotone projected descent on the half-curve's gauge length.
 
@@ -185,14 +185,14 @@ def refine_symmetric_half(body: ConvexBody, half):
     steps are only accepted when the objective strictly decreases, so the
     returned half is on-boundary and never longer than the input.
     """
-    half = _project(body, np.asarray(half, dtype=float))
+    half = body.boundary_point(np.asarray(half, dtype=float))
     length, grad = _half_length_and_grad(body, half)
     step = 0.1 * body.outer_radius()
     for _ in range(REFINE_ITERATIONS):
         gn = float(np.max(np.linalg.norm(grad, axis=1)))
         if gn == 0.0 or step < 1e-12:
             break
-        trial = _project(body, half - step * grad)
+        trial = body.boundary_point(half - step * grad)
         trial_len, trial_grad = _half_length_and_grad(body, trial)
         if trial_len < length - 1e-15 * max(1.0, abs(length)):
             half, length, grad = trial, trial_len, trial_grad
@@ -243,7 +243,7 @@ def symmetric_girth(
     half = resample_polyline(
         half, lambda e: np.linalg.norm(e, axis=-1), REFINE_POINTS + 1, closed=False
     )[:-1]
-    half = _project(body, half)
+    half = body.boundary_point(half)
     half, half_len = refine_symmetric_half(body, half)
 
     length = 2.0 * half_len

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog, minimize, nnls
-from scipy.special import logsumexp
 
-from ._util import as_rng
 from .errors import (
     DegenerateLoop,
     DimensionMismatch,
@@ -231,18 +229,16 @@ def split_at_half_length(loop: DiscreteLoop, body: ConvexBody):
 # Containment score
 # ---------------------------------------------------------------------------
 
-# starts of the smooth-body subgradient descent: the centroid, then random
-# points in the bounding box
-CONTAINMENT_RESTARTS = 20
-
-
 @dataclass
 class ContainmentDetails:
+    """``gap`` bounds sigma minus the true minimum (nominal for the LP);
+    ``method`` is "lp" for polytopes and "slsqp" otherwise."""
+
     sigma: float
     translation: np.ndarray
     gap: float
     trace: list = field(default_factory=list)
-    method: str = "descent"
+    method: str = "slsqp"
 
 
 def containment_score(
@@ -255,10 +251,12 @@ def containment_score(
     """sigma = min over translations t of max_i g_K(x_i - t).
 
     The objective is convex in t.  Polytope bodies are solved exactly as a
-    linear program; smooth bodies use subgradient descent with restarts,
-    a smoothed quasi-Newton polish, and a simplex certificate that bounds
-    the remaining gap.  Raises OptimizerDidNotConverge when the certified
-    gap exceeds ``gap_tol`` times the score scale.
+    linear program.  Smooth bodies solve the epigraph form
+    (min s s.t. s >= g_K(x_i - t)) by SLSQP from the centroid, polish the
+    tie point by Newton's method, and bound the remaining gap by a simplex
+    certificate.  Raises OptimizerDidNotConverge when the certified gap
+    exceeds ``gap_tol`` times max(1, sigma).  Both paths are deterministic:
+    ``rng`` has no effect and is accepted for compatibility.
 
     Accepts a DiscreteLoop or a plain (N, d) array of points.
     """
@@ -269,7 +267,7 @@ def containment_score(
     if isinstance(body, Polytope):
         details = _containment_lp(pts, body)
     else:
-        details = _containment_descent(pts, body, gap_tol, as_rng(rng))
+        details = _containment_slsqp(pts, body)
     if details.gap > gap_tol * max(1.0, details.sigma):
         raise OptimizerDidNotConverge(
             f"containment score gap {details.gap:.3e} above tolerance",
@@ -283,7 +281,6 @@ def _containment_lp(pts, body: Polytope) -> ContainmentDetails:
     # minimize s  s.t.  <A_j, x_i> - <A_j, t> <= s * b_j  for all i, j
     a, b = body.normals, body.offsets
     n_pts, d = pts.shape
-    m = len(a)
     a_ub = np.hstack(
         [np.tile(-a, (n_pts, 1)), np.repeat(-b[None, :], n_pts, axis=0).reshape(-1, 1)]
     )
@@ -305,100 +302,39 @@ def _containment_lp(pts, body: Polytope) -> ContainmentDetails:
     )
 
 
-def _containment_descent(pts, body, gap_tol, rng) -> ContainmentDetails:
+def _containment_slsqp(pts, body) -> ContainmentDetails:
+    # epigraph form: min s over z = (t, s) s.t. s - g_K(x_i - t) >= 0.  The
+    # default ftol (1e-6, absolute) stops too early on nearly flat gauges such
+    # as an l^40 ball; a tight one often ends in a failed line search at the
+    # optimum, so SLSQP's status is ignored and the certificate decides
+    d = pts.shape[1]
+
     def objective(t):
         return float(np.max(body.gauge(pts - t)))
 
-    scale = max(1.0, float(np.abs(pts).max()))
-    best_t = pts.mean(axis=0)
+    ones = np.ones((len(pts), 1))
+    t0 = pts.mean(axis=0)
+    f0 = objective(t0)
+    e_s = np.eye(d + 1)[d]
+    res = minimize(
+        lambda z: z[d],
+        np.append(t0, f0),
+        jac=lambda z: e_s,
+        constraints={
+            "type": "ineq",
+            "fun": lambda z: z[d] - body.gauge(pts - z[:d]),
+            "jac": lambda z: np.hstack([body.gauge_gradient(pts - z[:d]), ones]),
+        },
+        method="SLSQP",
+        options={"ftol": 1e-14},
+    )
+    best_t = res.x[:d]
     best_f = objective(best_t)
-    trace = [best_f]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    trace = [f0, best_f]
 
-    # phase 1: plain subgradient descent with diminishing steps, restarted
-    for r in range(CONTAINMENT_RESTARTS):
-        t = best_t if r == 0 else rng.uniform(lo, hi)
-        f = objective(t)
-        step0 = 0.3 * scale
-        for k in range(1, 61):
-            values = body.gauge(pts - t)
-            i = int(np.argmax(values))
-            sub = -body.gauge_gradient(pts[i] - t)
-            norm = np.linalg.norm(sub)
-            if norm == 0:
-                break
-            t = t - (step0 / np.sqrt(k)) * sub / norm
-            f = objective(t)
-            if f < best_f:
-                best_f, best_t = f, t.copy()
-                trace.append(best_f)
-
-    # phase 2: smoothed polish (softmax of the gauges, decreasing temperature)
-    def smooth(t, mu):
-        g = body.gauge(pts - t)
-        val = mu * logsumexp(g / mu)
-        w = np.exp((g - np.max(g)) / mu)
-        w /= w.sum()
-        grad = -(w[:, None] * body.gauge_gradient(pts - t)).sum(axis=0)
-        return val, grad
-
-    t = best_t.copy()
-    for mu in [1e-2, 1e-4, 1e-6, 1e-8]:
-        res = minimize(
-            smooth,
-            t,
-            args=(mu * max(best_f, 1e-9),),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 200, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        t = res.x
-        f = objective(t)
-        if f < best_f:
-            best_f, best_t = f, t.copy()
-            trace.append(best_f)
-
-    # phase 3: the valley of a max-of-gauges objective can be so flat that the
-    # value converges long before the position does, which leaves the
-    # subgradient certificate loose.  Linearized trust-region steps
-    # (min s s.t. g_i + <dg_i, delta> <= s) pin the equalizing point.
-    d = pts.shape[1]
-    trust = 1e-2 * max(1.0, best_f)
-    for _ in range(40):
-        values = body.gauge(pts - best_t)
-        order = np.argsort(values)[::-1]
-        act = order[: min(len(pts), d + 3)]
-        grads = -body.gauge_gradient(pts[act] - best_t)
-        res = linprog(
-            c=np.concatenate([np.zeros(d), [1.0]]),
-            A_ub=np.hstack([grads, -np.ones((len(act), 1))]),
-            b_ub=-values[act],
-            bounds=[(-trust, trust)] * d + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
-            break
-        predicted = best_f - res.x[d]
-        if predicted <= 1e-16 * max(1.0, best_f):
-            break
-        f_new = objective(best_t + res.x[:d])
-        rho = (best_f - f_new) / predicted
-        if f_new < best_f:
-            best_t = best_t + res.x[:d]
-            best_f = f_new
-            trace.append(best_f)
-        if rho > 0.75:
-            trust = min(2.0 * trust, 1.0)
-        elif rho < 0.25:
-            trust *= 0.25
-            if trust < 1e-14:
-                break
-
-    # phase 4: Newton on the tie system.  First-order steps stall once the
-    # predicted decrease hits rounding, still ~1e-7 away in position; solving
-    # the stationarity + equal-value equations directly recovers the point to
-    # machine precision, which is what makes the certificate tight.
+    # Newton on the tie system.  SLSQP alone certifies gaps up to ~1e-7;
+    # solving the stationarity + equal-value equations directly recovers the
+    # point to machine precision, which is what makes the certificate tight.
     t_newton = _equalization_newton(pts, body, best_t)
     if t_newton is not None:
         f_newton = objective(t_newton)
@@ -410,7 +346,7 @@ def _containment_descent(pts, body, gap_tol, rng) -> ContainmentDetails:
 
     gap = _containment_certificate(pts, body, best_t, best_f)
     return ContainmentDetails(
-        sigma=best_f, translation=best_t, gap=gap, trace=trace, method="descent"
+        sigma=best_f, translation=best_t, gap=gap, trace=trace, method="slsqp"
     )
 
 

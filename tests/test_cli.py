@@ -109,6 +109,9 @@ def test_girth_reports_length_and_margin(tmp_path, capsys):
     # the exit code follows --tol: a margin of 2 pi - 6 falls short of +10
     code, _, _ = run_cli(capsys, ["girth", body, "--samples", "512", "--tol", "-10"])
     assert code == 1
+    # so few samples that the kNN graph reaches each sample's antipode
+    code, _, err = run_cli(capsys, ["girth", body, "--samples", "8"])
+    assert code == 0, err
 
 
 def test_flow_exports_trajectory(tmp_path, capsys):
@@ -267,6 +270,7 @@ def test_usage_errors_exit_2(capsys):
         ["capacity", "--points", "9", "--symmetric"],
         ["girth", "--samples", "3"],
         ["girth", "--samples", "0"],
+        ["girth", "--samples", "2"],
         ["girth", "--neighbors", "0"],
         ["flow", "--start", "1,0", "--tmax", "0.5", "--step", "1"],
         ["flow", "--start", "2,0", "--tmax", "7"],
@@ -277,6 +281,7 @@ def test_usage_errors_exit_2(capsys):
         "odd-symmetric-points",
         "odd-samples",
         "no-samples",
+        "one-antipodal-pair",
         "no-neighbors",
         "step-beyond-tmax",
         "start-off-boundary",

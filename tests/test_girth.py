@@ -6,6 +6,7 @@ import pytest
 from symcap.errors import (
     BodyNotSymmetric,
     GraphDisconnected,
+    InvalidParameter,
     LoopNotOnBoundary,
     LoopNotSymmetric,
 )
@@ -58,6 +59,8 @@ def test_boundary_graph_invariants():
         )
     with pytest.raises(ValueError):
         build_boundary_graph(ball(2), n_samples=33)
+    with pytest.raises(InvalidParameter):
+        build_boundary_graph(ball(2), n_samples=2)
 
 
 def test_shortest_path_on_circle():
@@ -119,6 +122,20 @@ def test_girth_ball_four_dimensional():
     assert report["bound"] == pytest.approx(5.0)
     assert report["margin"] > 0
     assert isinstance(loop, DiscreteLoop)
+
+
+@pytest.mark.parametrize("n_samples", [4, 8])
+@pytest.mark.parametrize(
+    "body", [ball(2), ball(4), cube(4)], ids=["ball2", "ball4", "cube4"]
+)
+def test_girth_few_samples_skips_antipodal_chord(body, n_samples):
+    # with so few samples the kNN graph reaches each sample's antipode; that
+    # chord passes through the origin, so it is left out of the graph
+    bg = build_boundary_graph(body, n_samples=n_samples)
+    rows, cols = bg.graph.nonzero()
+    assert not np.any(cols == bg.antipode[rows])
+    length, _ = symmetric_girth(body, n_samples=n_samples)
+    assert length >= schaffer_bound(body.dim) - 1e-2
 
 
 def test_girth_odd_dimension():

@@ -216,17 +216,32 @@ def test_containment_homogeneity():
 
 
 def test_containment_ellipsoid_matches_lp_on_polytope_points():
-    # cross-check descent against the exact LP by using the same point set
+    # cross-check SLSQP against the exact LP by using the same point set
     frame = SymplecticFrame(2)
     rng = np.random.default_rng(4)
     pts = fourier_loop(rng, frame, n_pts=20)
     loop = DiscreteLoop(frame, pts)
     sigma_lp = containment_score(loop, cube(4))
-    sigma_descent = containment_score(
+    sigma_slsqp = containment_score(
         loop, lp_ball(40.0, np.ones(4)), rng=np.random.default_rng(1)
     )
     # an l^40 ball is a rounded cube: gauges differ by at most d^(1/40)
-    assert sigma_descent == pytest.approx(sigma_lp, rel=4 ** (1 / 40.0) - 1 + 1e-6)
+    assert sigma_slsqp == pytest.approx(sigma_lp, rel=4 ** (1 / 40.0) - 1 + 1e-6)
+
+
+def test_containment_smooth_certificate_is_tight():
+    # SLSQP alone stops ~1e-8 short; the Newton polish on the tie system is
+    # what brings the certified gap down to rounding level
+    rng = np.random.default_rng(11)
+    shifted = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1])
+    for body in (shifted, lp_ball(4.0, np.ones(4))):
+        for _ in range(3):
+            pts = rng.normal(size=(64, 4)) * rng.uniform(0.5, 2.0) + rng.normal(size=4)
+            details = containment_score(pts, body, return_details=True)
+            assert details.method == "slsqp"
+            assert details.gap <= 1e-12 * max(1.0, details.sigma)
+            values = body.gauge(pts - details.translation)
+            assert details.sigma == pytest.approx(values.max(), rel=1e-15)
 
 
 def test_containment_unreachable_gap_raises():
