@@ -22,6 +22,7 @@ coordinate plane with value N tan(pi / N).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -131,37 +132,58 @@ def clarke_functional(
     Scale invariant by construction.  With ``smoothing_p`` set, polytope
     support values use the smoothed form the optimizer works with.
     """
-    frame = frame_for(body)
-    x = np.asarray(
-        vertices.vertices if isinstance(vertices, DiscreteLoop) else vertices,
-        dtype=float,
-    )
-    edges = np.roll(x, -1, axis=0) - x
-    u = -frame.apply_j(edges)
+    if not isinstance(vertices, DiscreteLoop):
+        vertices = DiscreteLoop(frame_for(body), vertices)
+    *_, u, a = _edges_and_action(vertices.vertices)
     if smoothing_p is None:
         lengths = body.support(u)
     else:
         lengths, _ = body.smoothed_support_and_point(u, smoothing_p)
     length = float(np.sum(lengths))
-    a = float(frame.polygon_action(x))
     if a == 0.0:
         raise ZeroActionStart("loop has zero symplectic action")
     return length**2 / (4.0 * abs(a))
 
 
-def _functional_with_grad(body, frame, x):
-    """The functional and its gradient; polytope supports are smoothed."""
-    edges = np.roll(x, -1, axis=0) - x
-    u = -frame.apply_j(edges)
+@functools.lru_cache(maxsize=16)
+def _loop_plan(n_pts: int, dim: int):
+    """Next and previous vertex, and J as w -> w[:, perm] * j_sign; a product
+    with +-1 is exact, signed zeros included, so this matches apply_j."""
+    idx = np.arange(n_pts)
+    j_sign = np.repeat([-1.0, 1.0], dim // 2)
+    perm = np.roll(np.arange(dim), -(dim // 2))
+    plan = (np.roll(idx, -1), np.roll(idx, 1), perm, j_sign, -j_sign)
+    for arr in plan:
+        arr.flags.writeable = False  # shared by every caller
+    return plan
+
+
+def _edges_and_action(x):
+    """The plan, x_{k+1}, u = -J (x_{k+1} - x_k) and the action of loop x."""
+    plan = nxt, _, perm, j_sign, minus_j_sign = _loop_plan(*x.shape)
+    x_next = np.take(x, nxt, axis=0)
+    u = np.take(x_next - x, perm, axis=1) * minus_j_sign
+    jx = np.take(x, perm, axis=1) * j_sign
+    return plan, x_next, u, float(0.5 * np.sum(np.sum(jx * x_next, axis=-1)))
+
+
+def _functional_with_grad(body, x):
+    """The functional and its gradient; polytope supports are smoothed.
+
+    Same operations as the np.roll / apply_j / polygon_action formulation,
+    so the same bits.  u must be C-ordered, as np.take makes it: on the
+    transposed layout that column fancy-indexing gives, BLAS sums
+    ``u @ center`` in ``Ellipsoid.support_and_point`` in another order.
+    """
+    (_, prv, perm, j_sign, minus_j_sign), x_next, u, a = _edges_and_action(x)
     if body.is_smooth:
         h, s = body.support_and_point(u)
     else:
         h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
     length = float(np.sum(h))
-    a = float(frame.polygon_action(x))
     # dL/dx_k = -J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
-    grad_len = -frame.apply_j(s - np.roll(s, 1, axis=0))
-    grad_act = 0.5 * frame.apply_j(np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0))
+    grad_len = np.take(s - np.take(s, prv, axis=0), perm, axis=1) * minus_j_sign
+    grad_act = 0.5 * (np.take(np.take(x, prv, axis=0) - x_next, perm, axis=1) * j_sign)
     val = length**2 / (4.0 * abs(a))
     grad = (length / (2.0 * abs(a))) * grad_len - math.copysign(
         length**2 / (4.0 * a * a), a
@@ -255,7 +277,7 @@ def clarke_minimize(
         return np.vstack([x, -x]) if config.symmetric else x
 
     def objective(flat):
-        val, grad = _functional_with_grad(body, frame, expand(flat))
+        val, grad = _functional_with_grad(body, expand(flat))
         if config.symmetric:
             grad = grad[:half] - grad[half:]
         return val, grad.ravel()
@@ -266,13 +288,11 @@ def clarke_minimize(
     iterations = []
     converged_flags = []
     for rng in spawn_rngs(config.seed, config.restarts):
-        x0 = None
         for _ in range(10):
-            cand = _planar_ellipse_init(frame, rng, n_pts, scale)
-            if abs(frame.polygon_action(cand)) > 1e-10 * scale**2:
-                x0 = cand
+            x0 = _planar_ellipse_init(frame, rng, n_pts, scale)
+            if abs(frame.polygon_action(x0)) > 1e-10 * scale**2:
                 break
-        if x0 is None:
+        else:
             raise ZeroActionStart("could not draw a start with nonzero action")
         if frame.polygon_action(x0) < 0:
             x0 = x0[::-1].copy()

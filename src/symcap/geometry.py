@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
 from ._util import lexicographic_rank
@@ -275,6 +274,10 @@ class LpBall(ConvexBody):
         return self._scaled_norm(np.abs(u) * self.weights, self.q)
 
     def support_point(self, u):
+        return self.support_and_point(u)[1]
+
+    def support_and_point(self, u):
+        # z = |u| w, its row maximum and power sum serve both, bit for bit
         u = self._check_vec(u)
         z = np.abs(u) * self.weights
         m = np.max(z, axis=-1)
@@ -282,9 +285,10 @@ class LpBall(ConvexBody):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         zn = z / m[..., None]
         s = np.sum(zn**self.q, axis=-1)
-        return self.weights * np.sign(u) * zn ** (self.q - 1.0) / s[..., None] ** (
+        point = self.weights * np.sign(u) * zn ** (self.q - 1.0) / s[..., None] ** (
             (self.q - 1.0) / self.q
         )
+        return m * s ** (1.0 / self.q), point
 
     def gauge_gradient(self, x):
         x = self._check_vec(x)
@@ -334,9 +338,7 @@ class Polytope(ConvexBody):
     Constructed either from vertices or from halfspaces {x : A x <= b}; the
     missing representation is computed once with Qhull.  ``kind`` records the
     originally supplied description.  Gauge queries use the facet form
-    max_i <n_i, x> / c_i, which is exact; the textbook scaling linear program
-    over convex combination coefficients is kept as ``gauge_scaling_lp`` and
-    cross-checked in the tests.
+    max_i <n_i, x> / c_i, which is exact.
     """
 
     def __init__(self, vertices=None, normals=None, offsets=None):
@@ -409,28 +411,6 @@ class Polytope(ConvexBody):
     def gauge(self, x):
         x = self._check_vec(x)
         return np.max(x @ self._facet_grads.T, axis=-1)
-
-    def gauge_scaling_lp(self, x) -> float:
-        """Gauge of a single point from the scaling problem min{t : x in tK}.
-
-        Solved as min sum(mu) subject to V^T mu = x, mu >= 0 over convex
-        combination coefficients.  Slower than the facet form but independent
-        of it; used as a consistency oracle.
-        """
-        x = self._check_vec(x)
-        if x.ndim != 1:
-            raise DimensionMismatch("gauge_scaling_lp takes a single point")
-        m = self.vertices.shape[0]
-        res = linprog(
-            c=np.ones(m),
-            A_eq=self.vertices.T,
-            b_eq=x,
-            bounds=[(0, None)] * m,
-            method="highs",
-        )
-        if not res.success:
-            raise NonConvexParameters(f"scaling LP failed: {res.message}")
-        return float(res.fun)
 
     def support(self, u):
         u = self._check_vec(u)

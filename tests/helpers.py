@@ -1,9 +1,14 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
-from symcap.geometry import Ellipsoid, Polytope
+from symcap.capacity import SMOOTHING_P
+from symcap.errors import NonConvexParameters
+from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
 from symcap.loops import DiscreteLoop
 from symcap.symplectic import SymplecticFrame
 
@@ -102,3 +107,68 @@ def bisect_gauge(body, x, lo=1e-9, hi=1e9, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def gauge_scaling_lp(body, x):
+    """Polytope gauge of a single point from the scaling problem min{t : x in tK}.
+
+    Solved as min sum(mu) subject to V^T mu = x, mu >= 0 over convex
+    combination coefficients: slower than the facet form but independent of
+    it.
+    """
+    m = body.vertices.shape[0]
+    res = linprog(
+        c=np.ones(m),
+        A_eq=body.vertices.T,
+        b_eq=np.asarray(x, dtype=float),
+        bounds=[(0, None)] * m,
+        method="highs",
+    )
+    if not res.success:
+        raise NonConvexParameters(f"scaling LP failed: {res.message}")
+    return float(res.fun)
+
+
+def reference_functional_with_grad(body, frame, x):
+    """The Clarke functional and its gradient from np.roll, apply_j and
+    polygon_action: the formulation ``capacity._functional_with_grad`` must
+    reproduce bit for bit."""
+    edges = np.roll(x, -1, axis=0) - x
+    u = -frame.apply_j(edges)
+    # the l^p ball as two separate calls, as before its fused support_and_point
+    if isinstance(body, Ellipsoid):
+        h, s = body.support_and_point(u)
+    elif body.is_smooth:
+        h, s = body.support(u), body.support_point(u)
+    else:
+        h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
+    length = float(np.sum(h))
+    a = float(frame.polygon_action(x))
+    grad_len = -frame.apply_j(s - np.roll(s, 1, axis=0))
+    grad_act = 0.5 * frame.apply_j(np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0))
+    val = length**2 / (4.0 * abs(a))
+    grad = (length / (2.0 * abs(a))) * grad_len - math.copysign(
+        length**2 / (4.0 * a * a), a
+    ) * grad_act
+    return val, grad
+
+
+def fixture_bodies():
+    """(name, body) pairs: every body kind, the shifted and the 6-d ellipsoid."""
+    rng = np.random.default_rng(20240)
+    return [
+        ("ball2", ball(2)),
+        ("ball4", ball(4)),
+        ("ellipsoid-1-2", Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])),
+        ("ellipsoid-r6", Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5])),
+        (
+            "shifted-ellipsoid",
+            Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
+        ),
+        ("cube4", cube(4)),
+        ("cross4", cross_polytope(4)),
+        ("l4ball", lp_ball(4.0, np.ones(4))),
+        ("lp-weighted", lp_ball(3.0, np.array([1.0, 0.5, 2.0, 1.0]))),
+        ("poly-v", random_symmetric_polytope(rng, 4, 10)),
+        ("poly-h", cube(4).polar().polar()),
+    ]

@@ -33,11 +33,15 @@ from symcap.loops import DiscreteLoop, containment_score
 from symcap.symplectic import SymplecticFrame
 
 from helpers import (
+    fixture_bodies,
     fourier_loop,
     random_symmetric_polytope,
     random_symplectic_matrix,
+    reference_functional_with_grad,
     regular_polygon,
 )
+
+BODIES = fixture_bodies()
 
 
 @pytest.fixture(scope="module")
@@ -108,27 +112,56 @@ def test_edge_norm_is_support_of_rotated_edge():
 
 def test_functional_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
-    frame = SymplecticFrame(2)
-    x = fourier_loop(rng, frame, n_pts=12)
     for body in [
         ball(4),
         Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]),
+        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
+        Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]),
         cube(4),  # smoothed support
         lp_ball(4.0, np.ones(4)),
     ]:
-        val, grad = _functional_with_grad(body, frame, x)
+        x = fourier_loop(rng, frame_for(body), n_pts=12)
+        val, grad = _functional_with_grad(body, x)
         h = 1e-6
         for _ in range(6):
             i = rng.integers(0, x.shape[0])
-            j = rng.integers(0, 4)
+            j = rng.integers(0, body.dim)
             xp = x.copy()
             xm = x.copy()
             xp[i, j] += h
             xm[i, j] -= h
-            fp, _ = _functional_with_grad(body, frame, xp)
-            fm, _ = _functional_with_grad(body, frame, xm)
+            fp, _ = _functional_with_grad(body, xp)
+            fm, _ = _functional_with_grad(body, xm)
             fd = (fp - fm) / (2 * h)
             assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-7)
+
+
+# a center in general position: there the order in which BLAS sums u @ c
+# shows in the value, so a transposed u is caught
+GUARD_BODIES = BODIES + [
+    (
+        "shifted-ellipsoid-general",
+        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.3, 0.2, -0.2, 0.1]),
+    )
+]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name,body", GUARD_BODIES, ids=[n for n, _ in GUARD_BODIES])
+def test_functional_with_grad_is_bitwise_the_reference(name, body, order):
+    # precomputed shifts and the signed column permutation must reproduce the
+    # np.roll / apply_j / polygon_action formulation exactly, whatever the
+    # memory layout of the loop
+    frame = frame_for(body)
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        x = fourier_loop(rng, frame, n_pts=(3, 12, 128)[k % 3])
+        if k % 2 and body.dim >= 4:
+            x[:, 1] = 0.0  # zero edge components: the signs of zeros must agree
+        val, grad = _functional_with_grad(body, np.asarray(x, order=order))
+        ref_val, ref_grad = reference_functional_with_grad(body, frame, x)
+        assert val.hex() == ref_val.hex()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_optimizer_config_validation():

@@ -23,27 +23,12 @@ from symcap.geometry import (
     lp_ball,
 )
 
-from helpers import bisect_gauge, random_symmetric_polytope
-
-
-def fixture_bodies():
-    rng = np.random.default_rng(20240)
-    return [
-        ("ball2", ball(2)),
-        ("ball4", ball(4)),
-        ("ellipsoid-1-2", Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])),
-        ("ellipsoid-r6", Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5])),
-        (
-            "shifted-ellipsoid",
-            Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
-        ),
-        ("cube4", cube(4)),
-        ("cross4", cross_polytope(4)),
-        ("l4ball", lp_ball(4.0, np.ones(4))),
-        ("lp-weighted", lp_ball(3.0, np.array([1.0, 0.5, 2.0, 1.0]))),
-        ("poly-v", random_symmetric_polytope(rng, 4, 10)),
-        ("poly-h", cube(4).polar().polar()),
-    ]
+from helpers import (
+    bisect_gauge,
+    fixture_bodies,
+    gauge_scaling_lp,
+    random_symmetric_polytope,
+)
 
 
 BODIES = fixture_bodies()
@@ -131,6 +116,27 @@ def test_support_and_point_matches_parts(name, body):
         assert np.all(smoothed <= h * len(body.vertices) ** (1.0 / 40.0) + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "name,body",
+    [(n, b) for n, b in BODIES if isinstance(b, LpBall)],
+    ids=[n for n, b in BODIES if isinstance(b, LpBall)],
+)
+def test_lp_support_and_point_is_exactly_the_parts(name, body):
+    # the fused form shares |u| w, its maximum and the power sum; it must not
+    # move a single bit, and a zero direction still has no support point
+    rng = np.random.default_rng(47)
+    u = rng.normal(size=(200, body.dim))
+    u[0, 1] = 0.0
+    h, pt = body.support_and_point(u)
+    assert np.array_equal(h, body.support(u))
+    assert np.array_equal(pt, body.support_point(u))
+    # the point is the gradient of h_K, the gauge of the polar
+    assert np.allclose(pt, body.polar().gauge_gradient(u), rtol=1e-12, atol=0.0)
+    u[5] = 0.0
+    with pytest.raises(GradientUndefinedAtZero):
+        body.support_and_point(u)
+
+
 def test_support_known_values():
     rng = np.random.default_rng(23)
     u = rng.normal(size=(100, 4))
@@ -191,7 +197,7 @@ def test_polytope_v_gauge_matches_lp():
     body = random_symmetric_polytope(rng, 4, 12)
     for _ in range(25):
         x = rng.normal(size=4)
-        assert body.gauge(x) == pytest.approx(body.gauge_scaling_lp(x), rel=1e-7)
+        assert body.gauge(x) == pytest.approx(gauge_scaling_lp(body, x), rel=1e-7)
 
 
 def test_lp_polyhedral_cases_are_polytopes():
