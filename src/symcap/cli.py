@@ -4,7 +4,7 @@ Each subcommand is a thin wrapper over one library operation:
 
 * ``cj``          pairing capacity of a body
 * ``capacity``    Clarke dual minimization estimate
-* ``symmetrize``  central or m-fold loop symmetrization
+* ``symmetrize``  m-fold loop symmetrization (m = 2: central)
 * ``girth``       shortest symmetric boundary curve search
 * ``flow``        characteristic integration with CSV export
 * ``verify``      batch inequality verification with reports
@@ -31,7 +31,7 @@ from .errors import InvalidParameter, SpecParseError, SymcapError
 from .geometry import body_from_dict
 from .girth import check_schaffer_bound, symmetric_girth
 from .loops import DiscreteLoop
-from .symmetry import symmetrize_central, symmetrize_mfold
+from .symmetry import symmetrize_mfold
 from .verify import load_suite, run_verify
 
 
@@ -84,10 +84,7 @@ def _cmd_capacity(args):
 def _cmd_symmetrize(args):
     loop = _load_loop(args.loop)
     body = _load_body(args.body)
-    if args.m == 2:
-        outcome = symmetrize_central(loop, body)
-    else:
-        outcome = symmetrize_mfold(loop, body, args.m)
+    outcome = symmetrize_mfold(loop, body, args.m)
     if args.out:
         Path(args.out).write_text(
             json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"

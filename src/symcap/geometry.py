@@ -28,6 +28,7 @@ from .errors import (
     NonConvexParameters,
     OriginNotInterior,
     SpecParseError,
+    SymcapError,
 )
 
 _SYM_TOL = 1e-9
@@ -556,7 +557,11 @@ def ball(dim: int, radius: float = 1.0) -> Ellipsoid:
 # ---------------------------------------------------------------------------
 
 def body_from_dict(obj: dict) -> ConvexBody:
-    """Build a body from the {"kind", "dim", "params"} description."""
+    """Build a body from the {"kind", "dim", "params"} description.
+
+    Parameters of the wrong type or shape raise SpecParseError; parameters
+    that parse but do not describe a convex body keep their own error.
+    """
     if not isinstance(obj, dict):
         raise SpecParseError(f"body description must be an object, got {type(obj)}")
     try:
@@ -565,37 +570,42 @@ def body_from_dict(obj: dict) -> ConvexBody:
         params = obj.get("params", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError(f"malformed body description: {exc}") from exc
-
-    if kind == "ellipsoid":
-        if "matrix" in params:
-            body = Ellipsoid(params["matrix"], center=params.get("center"))
-        elif "radii" in params:
-            body = Ellipsoid.from_radii(params["radii"], center=params.get("center"))
-        else:
-            raise SpecParseError("ellipsoid params need 'matrix' or 'radii'")
-    elif kind == "lp":
-        p = params.get("p")
-        if p == "inf":
-            p = np.inf
-        if p is None or "weights" not in params:
-            raise SpecParseError("lp params need 'p' and 'weights'")
-        body = lp_ball(float(p), params["weights"])
-    elif kind == "polytope_v":
-        if "vertices" not in params:
-            raise SpecParseError("polytope_v params need 'vertices'")
-        body = Polytope(vertices=params["vertices"])
-    elif kind == "polytope_h":
-        if "normals" not in params or "offsets" not in params:
-            raise SpecParseError("polytope_h params need 'normals' and 'offsets'")
-        body = Polytope(normals=params["normals"], offsets=params["offsets"])
-    else:
-        raise SpecParseError(f"unknown body kind {kind!r}")
-
+    try:
+        body = _body_from_params(kind, params)
+    except SymcapError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SpecParseError(f"malformed {kind!r} params: {exc}") from exc
     if body.dim != dim:
         raise SpecParseError(
             f"declared dim {dim} does not match params (dim {body.dim})"
         )
     return body
+
+
+def _body_from_params(kind, params) -> ConvexBody:
+    if kind == "ellipsoid":
+        if "matrix" in params:
+            return Ellipsoid(params["matrix"], center=params.get("center"))
+        if "radii" in params:
+            return Ellipsoid.from_radii(params["radii"], center=params.get("center"))
+        raise SpecParseError("ellipsoid params need 'matrix' or 'radii'")
+    if kind == "lp":
+        p = params.get("p")
+        if p == "inf":
+            p = np.inf
+        if p is None or "weights" not in params:
+            raise SpecParseError("lp params need 'p' and 'weights'")
+        return lp_ball(float(p), params["weights"])
+    if kind == "polytope_v":
+        if "vertices" not in params:
+            raise SpecParseError("polytope_v params need 'vertices'")
+        return Polytope(vertices=params["vertices"])
+    if kind == "polytope_h":
+        if "normals" not in params or "offsets" not in params:
+            raise SpecParseError("polytope_h params need 'normals' and 'offsets'")
+        return Polytope(normals=params["normals"], offsets=params["offsets"])
+    raise SpecParseError(f"unknown body kind {kind!r}")
 
 
 def body_to_dict(body: ConvexBody) -> dict:

@@ -10,7 +10,7 @@ from its start.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize, nnls
@@ -58,9 +58,6 @@ class DiscreteLoop:
 
     def action(self) -> float:
         return float(self.frame.polygon_action(self.vertices))
-
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
     def translated(self, t) -> "DiscreteLoop":
         return DiscreteLoop(self.frame, self.vertices + np.asarray(t, dtype=float))
@@ -237,7 +234,6 @@ class ContainmentDetails:
     sigma: float
     translation: np.ndarray
     gap: float
-    trace: list = field(default_factory=list)
     method: str = "slsqp"
 
 
@@ -297,8 +293,7 @@ def _containment_lp(pts, body: Polytope) -> ContainmentDetails:
     t = res.x[:d]
     sigma = float(np.max(body.gauge(pts - t)))
     return ContainmentDetails(
-        sigma=sigma, translation=t, gap=1e-9 * max(1.0, sigma), trace=[sigma],
-        method="lp",
+        sigma=sigma, translation=t, gap=1e-9 * max(1.0, sigma), method="lp"
     )
 
 
@@ -330,7 +325,6 @@ def _containment_slsqp(pts, body) -> ContainmentDetails:
     )
     best_t = res.x[:d]
     best_f = objective(best_t)
-    trace = [f0, best_f]
 
     # Newton on the tie system.  SLSQP alone certifies gaps up to ~1e-7;
     # solving the stationarity + equal-value equations directly recovers the
@@ -342,11 +336,10 @@ def _containment_slsqp(pts, body) -> ContainmentDetails:
             _containment_certificate(pts, body, best_t, best_f)
         ):
             best_t, best_f = t_newton, f_newton
-            trace.append(best_f)
 
     gap = _containment_certificate(pts, body, best_t, best_f)
     return ContainmentDetails(
-        sigma=best_f, translation=best_t, gap=gap, trace=trace, method="slsqp"
+        sigma=best_f, translation=best_t, gap=gap, method="slsqp"
     )
 
 

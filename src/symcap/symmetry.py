@@ -1,31 +1,27 @@
-"""Loop symmetrization operators.
+"""Loop symmetrization.
 
-Two constructions that never increase the normalized dual length of a closed
-loop:
+One construction, ``symmetrize_mfold``, never increases the normalized dual
+length of a closed loop.  The loop is cut into m pieces of equal dual
+length; each piece, with endpoint gap v, spawns a candidate loop made of its
+m copies under the m-th root of unity (acting diagonally on all coordinate
+planes), chained end to end.  The candidate's action is exactly m times the
+piece's chord-closed action plus a regular m-gon term alpha_m |v|^2, and
+the best candidate always carries at least the original action.
 
-* ``symmetrize_central``  split the loop into two halves of equal dual
-  length, close each half with the chord between the (re-centered)
-  endpoints, keep the half carrying at least half of the action, and double
-  it through the origin.  The output is exactly centrally symmetric and its
-  action-normalized length never exceeds the input's.
-
-* ``symmetrize_mfold``    the m-piece generalization: each of the m equal
-  dual-length segments spawns a candidate loop made of its m rotated copies
-  (rotation by the m-th root of unity acting diagonally on all coordinate
-  planes).  The candidate's action splits exactly into m times the closed
-  segment action plus a regular m-gon term alpha_m |v|^2 built from the
-  segment's endpoint gap v, and the best candidate always carries at least
-  the original action.
+Central symmetrization is the case m = 2 (``symmetrize_central``): the root
+of unity is -I, the m-gon term vanishes, and the chosen half is doubled
+through the origin.
 
 Lengths here are measured in the dual edge norm ||v|| = h_K(-J v) of the
 supplied norm body, the same norm the capacity functional uses, so the
-output of either operator is directly usable as a capacity candidate.
+output is directly usable as a capacity candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +31,7 @@ from .errors import (
     BodyNotSymmetricUnderW,
     CalibrationError,
     DegenerateLoop,
+    InvalidParameter,
     ZeroAction,
 )
 from .geometry import ConvexBody
@@ -74,95 +71,21 @@ class SymmetrizationOutcome:
         }
 
 
-def _dual_norm_fn(body: ConvexBody):
-    return lambda edges: clarke_edge_norm(body, edges)
-
-
 def _closed_length(vertices, norm_fn) -> float:
     edges = np.roll(vertices, -1, axis=0) - vertices
     return float(np.sum(norm_fn(edges)))
 
 
-def _open_segment_ok(seg):
-    if len(seg) < 2:
-        raise DegenerateLoop("split produced a segment with fewer than 2 points")
-
-
 def symmetrize_central(
-    loop: DiscreteLoop, norm_body: ConvexBody, require_action_one: bool = True
+    loop: DiscreteLoop, norm_body: ConvexBody
 ) -> SymmetrizationOutcome:
     """Replace a loop by a centrally symmetric one of no greater length.
 
-    The loop is cut into two arcs of equal dual length, shifted so the cut
-    points sit at +-a, and each arc is closed with the chord between them;
-    the chord contributions cancel, so the two closed arcs split the action
-    exactly.  The arc holding at least half the action is doubled through
-    the origin.  Requires a centrally symmetric norm body, otherwise the two
-    traversal directions of an edge would have different lengths.
+    The order-2 case of ``symmetrize_mfold``: the loop is cut into two arcs
+    of equal dual length, and the arc holding at least half the action is
+    doubled through the origin.  Requires a centrally symmetric norm body.
     """
-    if not norm_body.is_symmetric:
-        raise BodyNotSymmetric(
-            "central symmetrization needs a centrally symmetric norm body"
-        )
-    frame = loop.frame
-    pre_action = loop.action()
-    if pre_action == 0.0:
-        raise ZeroAction("cannot symmetrize a loop of zero action")
-    verts = loop.vertices
-    if pre_action < 0:
-        verts = verts[::-1].copy()
-        pre_action = -pre_action
-    norm_fn = _dual_norm_fn(norm_body)
-    pre_length = _closed_length(verts, norm_fn)
-
-    seg1, seg2 = split_closed_at_fractions(verts, norm_fn, 2)
-    _open_segment_ok(seg1)
-    _open_segment_ok(seg2)
-    mid = 0.5 * (seg1[0] + seg1[-1])
-    seg1 = seg1 - mid
-    seg2 = seg2 - mid
-
-    a1 = float(frame.polygon_action(seg1)) if len(seg1) >= 3 else 0.0
-    a2 = float(frame.polygon_action(seg2)) if len(seg2) >= 3 else 0.0
-    additivity = abs((a1 + a2) - pre_action)
-
-    chosen_index = 0 if a1 >= a2 else 1
-    arc = (seg1, seg2)[chosen_index]
-    doubled = np.vstack([arc[:-1], -arc[:-1]])
-    out_loop = DiscreteLoop(frame, doubled).normalize()
-    post_action = out_loop.action()
-    if post_action <= 0:
-        raise ZeroAction("symmetrized loop has nonpositive action")
-    sym_residual = _central_residual(out_loop.vertices)
-    if require_action_one:
-        out_loop = out_loop.scaled(1.0 / math.sqrt(post_action))
-        post_action = out_loop.action()
-    post_length = _closed_length(out_loop.vertices, norm_fn)
-
-    return SymmetrizationOutcome(
-        output=out_loop,
-        chosen_index=chosen_index,
-        pre_action=pre_action,
-        post_action=post_action,
-        pre_length=pre_length,
-        post_length=post_length,
-        decomposition=[
-            {"segment": 0, "closed_action": a1},
-            {"segment": 1, "closed_action": a2},
-        ],
-        residuals={
-            "action_additivity": additivity,
-            "symmetry": sym_residual,
-        },
-    )
-
-
-def _central_residual(vertices) -> float:
-    n = len(vertices)
-    if n % 2 != 0:
-        return math.inf
-    half = n // 2
-    return float(np.max(np.abs(vertices + np.roll(vertices, -half, axis=0))))
+    return symmetrize_mfold(loop, norm_body, 2)
 
 
 def _w_invariance_defect(body: ConvexBody, frame, m: int, samples: int = 64) -> float:
@@ -179,8 +102,10 @@ def symmetrize_mfold(
 ) -> SymmetrizationOutcome:
     """Make a loop invariant under the diagonal m-th root of unity rotation.
 
-    Splits the loop into m segments of equal dual length.  Segment i with
-    endpoint gap v_i yields a candidate built from its m rotated copies,
+    Splits the loop into m segments of equal dual length; the segments'
+    chord-closed actions A_i and the polygon of the cut points add up to the
+    input action, reported as ``residuals["action_additivity"]``.  Segment i
+    with endpoint gap v_i yields a candidate built from its m rotated copies,
     chained so each copy starts where the previous rotated copy ends; the
     chain closes because the rotated gaps sum to zero.  The candidate action
     equals m * A_i + alpha_m |v_i|^2 exactly (A_i = action of the segment
@@ -190,9 +115,16 @@ def symmetrize_mfold(
     vertex centroid, which is the exact fixed point of the rotate-translate
     symmetry, so the output rotational symmetry is exact, then rescaled to
     unit action.
+
+    Even m needs a centrally symmetric norm body, since W^(m/2) = -I; every
+    m needs a norm body invariant under W, screened on sampled directions.
     """
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InvalidParameter(f"symmetry order m must be at least 2, got {m}")
+    if m % 2 == 0 and not norm_body.is_symmetric:
+        raise BodyNotSymmetric(
+            f"order-{m} symmetrization needs a centrally symmetric norm body"
+        )
     frame = loop.frame
     defect = _w_invariance_defect(norm_body, frame, m)
     if defect > 1e-6:
@@ -206,16 +138,19 @@ def symmetrize_mfold(
     if pre_action < 0:
         verts = verts[::-1].copy()
         pre_action = -pre_action
-    norm_fn = _dual_norm_fn(norm_body)
+    norm_fn = partial(clarke_edge_norm, norm_body)
     pre_length = _closed_length(verts, norm_fn)
     scale = float(np.max(np.abs(verts))) or 1.0
 
     segments = split_closed_at_fractions(verts, norm_fn, m)
+    if min(len(seg) for seg in segments) < 2:
+        raise DegenerateLoop("split produced a segment with fewer than 2 points")
+    cuts = np.array([seg[0] for seg in segments])
+    cut_action = float(frame.polygon_action(cuts)) if m >= 3 else 0.0
     const = alpha_m(m)
     decomposition = []
     candidates = []
     for i, seg in enumerate(segments):
-        _open_segment_ok(seg)
         v_i = seg[-1] - seg[0]
         a_i = float(frame.polygon_action(seg)) if len(seg) >= 3 else 0.0
         s_i = const * float(v_i @ v_i)
@@ -247,6 +182,9 @@ def symmetrize_mfold(
         )
         candidates.append(candidate)
 
+    additivity = abs(
+        sum(d["closed_action"] for d in decomposition) + cut_action - pre_action
+    )
     actions = np.array([d["candidate_action"] for d in decomposition])
     if actions.max() < pre_action - 1e-8 * max(1.0, abs(pre_action)):
         raise CalibrationError(
@@ -276,5 +214,9 @@ def symmetrize_mfold(
         pre_length=pre_length,
         post_length=post_length,
         decomposition=decomposition,
-        residuals={"symmetry": sym_residual, "w_invariance_defect": defect},
+        residuals={
+            "action_additivity": additivity,
+            "symmetry": sym_residual,
+            "w_invariance_defect": defect,
+        },
     )

@@ -6,10 +6,10 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from symcap.capacity import SMOOTHING_P
+from symcap.capacity import SMOOTHING_P, clarke_edge_norm
 from symcap.errors import NonConvexParameters
 from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
-from symcap.loops import DiscreteLoop
+from symcap.loops import DiscreteLoop, split_closed_at_fractions
 from symcap.symplectic import SymplecticFrame
 
 
@@ -151,6 +151,34 @@ def reference_functional_with_grad(body, frame, x):
         length**2 / (4.0 * a * a), a
     ) * grad_act
     return val, grad
+
+
+def central_residual(vertices):
+    """max |x_i + x_(i + N/2)|: zero exactly for a centrally symmetric loop."""
+    n = len(vertices)
+    if n % 2 != 0:
+        return math.inf
+    return float(np.max(np.abs(vertices + np.roll(vertices, -(n // 2), axis=0))))
+
+
+def reference_symmetrize_central(loop, norm_body):
+    """Central symmetrization by arc doubling, independent of the m-fold
+    chain: cut the loop into two arcs of equal dual length, center the cut
+    points at +-a, double the arc of larger chord-closed action through the
+    origin and scale to unit action.  Returns (chosen arc, output loop)."""
+    verts = loop.vertices if loop.action() > 0 else loop.vertices[::-1]
+    arcs = split_closed_at_fractions(
+        verts, lambda e: clarke_edge_norm(norm_body, e), 2
+    )
+    mid = 0.5 * (arcs[0][0] + arcs[0][-1])
+    actions = [
+        float(loop.frame.polygon_action(a - mid)) if len(a) >= 3 else 0.0
+        for a in arcs
+    ]
+    chosen = 0 if actions[0] >= actions[1] else 1
+    arc = arcs[chosen][:-1] - mid
+    out = DiscreteLoop(loop.frame, np.vstack([arc, -arc])).normalize()
+    return chosen, out.scaled(1.0 / math.sqrt(out.action()))
 
 
 def fixture_bodies():

@@ -19,6 +19,7 @@ CUBE4 = {
     "dim": 4,
     "params": {"p": "inf", "weights": [1.0, 1.0, 1.0, 1.0]},
 }
+TRIANGLE = {"dim": 2, "vertices": [[1.0, 0.0], [0.0, 1.0], [-0.7, -0.4]]}
 TINY_PROFILE = {"tiny": {"points": 48, "restarts": 2, "girth_samples": 512}}
 
 
@@ -72,11 +73,7 @@ def test_capacity_planar_ball(tmp_path, capsys):
 
 
 def test_symmetrize_writes_outcome(tmp_path, capsys):
-    loop = write_json(
-        tmp_path,
-        "loop.json",
-        {"dim": 2, "vertices": [[1.0, 0.0], [0.0, 1.0], [-0.7, -0.4]]},
-    )
+    loop = write_json(tmp_path, "loop.json", TRIANGLE)
     body = write_json(tmp_path, "ball2.json", BALL2)
     out_path = tmp_path / "outcome.json"
     code, out, _ = run_cli(
@@ -290,6 +287,33 @@ def test_usage_errors_exit_2(capsys):
 def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
     body = write_json(tmp_path, "ball2.json", BALL2)
     code, _, err = run_cli(capsys, [argv[0], body, *argv[1:]])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-2"])
+def test_symmetrize_order_below_two_exits_2(tmp_path, capsys, m):
+    loop = write_json(tmp_path, "loop.json", TRIANGLE)
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    code, _, err = run_cli(capsys, ["symmetrize", loop, "--body", body, "--m", m])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "ellipsoid", "dim": 2, "params": {"radii": "abc"}},
+        {"kind": "lp", "dim": 2, "params": {"p": "x", "weights": [1.0, 1.0]}},
+        {"kind": "lp", "dim": 2, "params": [1, 2]},
+    ],
+    ids=["radii-not-numbers", "p-not-a-number", "params-not-an-object"],
+)
+def test_malformed_body_params_exit_2(tmp_path, capsys, spec):
+    body = write_json(tmp_path, "body.json", spec)
+    code, _, err = run_cli(capsys, ["cj", body])
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err

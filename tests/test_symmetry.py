@@ -12,15 +12,20 @@ from symcap.errors import (
 )
 from symcap.geometry import Ellipsoid, ball, cube
 from symcap.loops import DiscreteLoop
+from symcap.capacity import clarke_edge_norm
 from symcap.symmetry import (
-    _central_residual,
     _w_invariance_defect,
     symmetrize_central,
     symmetrize_mfold,
 )
 from symcap.symplectic import SymplecticFrame
 
-from helpers import nonzero_action_loop, regular_polygon
+from helpers import (
+    central_residual,
+    nonzero_action_loop,
+    reference_symmetrize_central,
+    regular_polygon,
+)
 
 
 def circle(n=128, radius=1.0, center=None, frame=None):
@@ -47,7 +52,7 @@ def test_central_translated_circle_recovers_symmetric_length():
     # centered circle again: normalized length 2 sqrt(pi) either way
     loop = circle(256, center=[0.8, -0.3])
     out = symmetrize_central(loop, ball(2))
-    assert _central_residual(out.output.vertices) <= 1e-9
+    assert central_residual(out.output.vertices) <= 1e-9
     assert out.normalized_post_length() == pytest.approx(
         2 * math.sqrt(math.pi), rel=1e-2
     )
@@ -69,7 +74,7 @@ def test_central_bulk_random_loops_never_lengthen():
             <= out.normalized_pre_length() * (1 + 1e-12) + 1e-9
         )
         assert out.post_action == pytest.approx(1.0, rel=1e-9)
-        assert _central_residual(out.output.vertices) <= 1e-9
+        assert central_residual(out.output.vertices) <= 1e-9
 
 
 def test_central_orientation_normalization():
@@ -108,19 +113,34 @@ def test_mfold_bulk_identity_and_invariance():
 
 
 def test_mfold_two_equals_central():
+    # m = 2 must reproduce the arc-doubling construction it replaced
     rng = np.random.default_rng(2)
     frame = SymplecticFrame(2)
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
     for _ in range(10):
         loop = nonzero_action_loop(rng, frame, n_pts=30)
-        via_central = symmetrize_central(loop, body)
+        ref_index, ref_loop = reference_symmetrize_central(loop, body)
         via_mfold = symmetrize_mfold(loop, body, 2)
-        assert via_mfold.chosen_index == via_central.chosen_index
+        assert via_mfold.chosen_index == ref_index
+        ref_length = float(np.sum(clarke_edge_norm(body, ref_loop.edges())))
         assert via_mfold.normalized_post_length() == pytest.approx(
-            via_central.normalized_post_length(), rel=1e-9
+            ref_length, rel=1e-9
         )
-        assert np.allclose(
-            via_mfold.output.vertices, via_central.output.vertices, atol=1e-9
+        assert np.allclose(via_mfold.output.vertices, ref_loop.vertices, atol=1e-9)
+        assert symmetrize_central(loop, body).to_dict() == via_mfold.to_dict()
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_mfold_reports_exact_action_additivity(m):
+    # the chord-closed segment actions plus the polygon of the cut points
+    # add up to the input action
+    rng = np.random.default_rng(7)
+    frame = SymplecticFrame(2)
+    for _ in range(20):
+        loop = nonzero_action_loop(rng, frame, n_pts=36)
+        out = symmetrize_mfold(loop, ball(4), m)
+        assert out.residuals["action_additivity"] <= 1e-12 * max(
+            1.0, abs(out.pre_action)
         )
 
 
@@ -217,5 +237,5 @@ def test_smooth_minimizer_is_nearly_centrally_symmetric(body):
     # unrestricted optimizer should land on one up to discretization noise
     res = clarke_minimize(body, OptimizerConfig(points=128, restarts=4, seed=9))
     v = res.witness.vertices
-    defect = _central_residual(v - v.mean(axis=0))
+    defect = central_residual(v - v.mean(axis=0))
     assert defect <= 1e-2 * body.diameter()
