@@ -84,7 +84,14 @@ SMOOTHING_P = 40.0
 
 @dataclass
 class OptimizerConfig:
-    """Knobs for the Clarke dual minimization."""
+    """Knobs for the Clarke dual minimization.
+
+    ``symmetric`` solves on the fundamental domain of the body's own exact
+    symmetry W: order 4 (W = J) when J maps the body onto itself, order 2
+    (W = -I) when it is centrally symmetric, and none (order 1) on an
+    asymmetric body.  The order must divide ``points``; otherwise the next
+    lower one is used.
+    """
 
     seed: int = 0
     restarts: int = 8
@@ -145,47 +152,78 @@ def clarke_functional(
     return length**2 / (4.0 * abs(a))
 
 
+# stacked with a loop as [x, -x], so that a flat index picks a signed copy
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
 @functools.lru_cache(maxsize=16)
-def _loop_plan(n_pts: int, dim: int):
-    """Next and previous vertex, and J as w -> w[:, perm] * j_sign; a product
-    with +-1 is exact, signed zeros included, so this matches apply_j."""
-    idx = np.arange(n_pts)
-    j_sign = np.repeat([-1.0, 1.0], dim // 2)
-    perm = np.roll(np.arange(dim), -(dim // 2))
-    plan = (np.roll(idx, -1), np.roll(idx, 1), perm, j_sign, -j_sign)
+def _loop_plan(n_pts: int, dim: int, m: int = 1):
+    """Index plan for the n_pts free vertices of a loop continued by
+    x_{k + n_pts} = W x_k, with W = root_multiply(m, 1): I, -I or J.
+
+    Flat indices into [x, -x] of x_{k+1} (x_{n_pts} = W x_0), x_{k-1}
+    (x_{-1} = W^-1 x_{n_pts - 1}) and J x, and J as w -> w[:, perm] * j_sign.
+    They come from applying these signed permutations to the signed labels
+    1 + (flat index) of x.  A product with +-1 is exact, signed zeros
+    included, so at m = 1 this matches the np.roll / apply_j formulation.
+    """
+    frame = SymplecticFrame(dim // 2)
+    label = np.arange(1.0, n_pts * dim + 1.0).reshape(n_pts, dim)
+    nxt = np.roll(label, -1, axis=0)
+    nxt[-1] = frame.root_multiply(m, 1, label[0])
+    prv = np.roll(label, 1, axis=0)
+    prv[0] = frame.root_multiply(m, -1, label[-1])
+    jx = frame.apply_j(label)
+    perm = (np.abs(jx[0]) - 1).astype(np.intp)
+    j_sign = np.sign(jx[0])
+
+    def flat(signed):
+        return (np.where(signed < 0, n_pts * dim - signed, signed) - 1).astype(np.intp)
+
+    plan = (flat(nxt), flat(prv), flat(jx), perm, -j_sign, 0.5 * j_sign)
     for arr in plan:
         arr.flags.writeable = False  # shared by every caller
     return plan
 
 
-def _edges_and_action(x):
-    """The plan, x_{k+1}, u = -J (x_{k+1} - x_k) and the action of loop x."""
-    plan = nxt, _, perm, j_sign, minus_j_sign = _loop_plan(*x.shape)
-    x_next = np.take(x, nxt, axis=0)
-    u = np.take(x_next - x, perm, axis=1) * minus_j_sign
-    jx = np.take(x, perm, axis=1) * j_sign
-    return plan, x_next, u, float(0.5 * np.sum(np.sum(jx * x_next, axis=-1)))
+def _edges_and_action(x, m=1):
+    """The plan, [x, -x], x_{k+1}, u = -J (x_{k+1} - x_k) and the action of
+    the free vertices x of a loop continued by W = root_multiply(m, 1)."""
+    plan = nxt, _, jx_idx, perm, minus_j_sign, _ = _loop_plan(*x.shape, m)
+    xx = np.multiply.outer(_PLUS_MINUS, x)
+    x_next = xx.take(nxt)
+    u = (x_next - x).take(perm, axis=1) * minus_j_sign
+    jx = xx.take(jx_idx)
+    return plan, xx, x_next, u, float(0.5 * (jx * x_next).sum(axis=-1).sum())
 
 
-def _functional_with_grad(body, x):
-    """The functional and its gradient; polytope supports are smoothed.
+def _functional_with_grad(body, x, m=1):
+    """The functional and its gradient in the free vertices x of a loop
+    continued by W = root_multiply(m, 1); polytope supports are smoothed.
 
-    Same operations as the np.roll / apply_j / polygon_action formulation,
+    The body must be invariant under W.  Then the loop's length and action
+    are m times those of its first block, and by equivariance the gradient
+    in x is m times the loop's gradient on that block.  At m = 1 these are
+    the operations of the np.roll / apply_j / polygon_action formulation,
     so the same bits.  u must be C-ordered, as np.take makes it: on the
     transposed layout that column fancy-indexing gives, BLAS sums
     ``u @ center`` in ``Ellipsoid.support_and_point`` in another order.
     """
-    (_, prv, perm, j_sign, minus_j_sign), x_next, u, a = _edges_and_action(x)
+    (_, prv, _, perm, minus_j_sign, half_j_sign), xx, x_next, u, a = (
+        _edges_and_action(x, m)
+    )
     if body.is_smooth:
         h, s = body.support_and_point(u)
     else:
         h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
-    length = float(np.sum(h))
+    length = m * float(h.sum())
+    a = m * a
     # dL/dx_k = -J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
-    grad_len = np.take(s - np.take(s, prv, axis=0), perm, axis=1) * minus_j_sign
-    grad_act = 0.5 * (np.take(np.take(x, prv, axis=0) - x_next, perm, axis=1) * j_sign)
+    s_prev = np.multiply.outer(_PLUS_MINUS, s).take(prv)
+    grad_len = (s - s_prev).take(perm, axis=1) * minus_j_sign
+    grad_act = (xx.take(prv) - x_next).take(perm, axis=1) * half_j_sign
     val = length**2 / (4.0 * abs(a))
-    grad = (length / (2.0 * abs(a))) * grad_len - math.copysign(
+    grad = (m * length / (2.0 * abs(a))) * grad_len - m * math.copysign(
         length**2 / (4.0 * a * a), a
     ) * grad_act
     return val, grad
@@ -253,33 +291,40 @@ def _planar_ellipse_init(frame, rng, n_pts, scale):
     return x
 
 
+def symmetry_order(body: ConvexBody, config: OptimizerConfig) -> int:
+    """The order m of the symmetry W the Clarke solve keeps (see
+    ``OptimizerConfig``).  A minimal closed characteristic on a body that W
+    maps onto itself is W-invariant, so the continuum minimum is kept."""
+    if config.symmetric:
+        if config.points % 4 == 0 and body.is_j_invariant:
+            return 4
+        if config.points % 2 == 0 and body.is_symmetric:
+            return 2
+    return 1
+
+
 def clarke_minimize(
     body: ConvexBody, config: Optional[OptimizerConfig] = None
 ) -> CapacityResult:
     """Minimize the dual action functional over discrete loops.
 
-    Multistart quasi-Newton descent on the vertex coordinates.  The reported
-    value re-evaluates the best loop with the exact support function, so it
-    is always a genuine discrete upper bound; for polytopes the smoothed
-    value that was actually optimized is kept in the diagnostics.
+    Multistart quasi-Newton descent on the vertex coordinates of the loops
+    with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
+    N/m vertices are free.  The reported value re-evaluates the best full
+    loop with the exact support function, so it is always a genuine
+    discrete upper bound; for polytopes the smoothed value that was
+    actually optimized is kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
     frame = frame_for(body)
     n_pts = config.points
-    half = n_pts // 2
+    m = symmetry_order(body, config)
+    free = n_pts // m
     scale = 0.5 * body.outer_radius()
 
-    # symmetric mode optimizes the half y of the loop (y, -y): the same
-    # functional composed with this expansion, its gradient folded back
-    def expand(flat):
-        x = flat.reshape(-1, frame.dim)
-        return np.vstack([x, -x]) if config.symmetric else x
-
     def objective(flat):
-        val, grad = _functional_with_grad(body, expand(flat))
-        if config.symmetric:
-            grad = grad[:half] - grad[half:]
+        val, grad = _functional_with_grad(body, flat.reshape(free, frame.dim), m)
         return val, grad.ravel()
 
     best_x = None
@@ -296,8 +341,11 @@ def clarke_minimize(
             raise ZeroActionStart("could not draw a start with nonzero action")
         if frame.polygon_action(x0) < 0:
             x0 = x0[::-1].copy()
-        if config.symmetric:
-            x0 = 0.5 * (x0[:half] - np.roll(x0, -half, axis=0)[:half])
+        # the W-invariant part of the start: sum_j W^-j x0_j / m over blocks
+        x0 = np.mean(
+            [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],
+            axis=0,
+        )
         res = minimize(
             objective,
             x0.ravel(),
@@ -310,7 +358,8 @@ def clarke_minimize(
                 "maxcor": 20,
             },
         )
-        x_final = expand(res.x)
+        y = res.x.reshape(free, frame.dim)
+        x_final = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
         value = clarke_functional(body, x_final)
         restart_values.append(value)
         iterations.append(int(res.nit))
@@ -332,6 +381,7 @@ def clarke_minimize(
         "converged": converged_flags,
         "points": n_pts,
         "symmetric": config.symmetric,
+        "symmetry_order": m,
     }
     if not body.is_smooth:
         diagnostics["smoothing_p"] = SMOOTHING_P

@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--symmetric",
         action="store_true",
-        help="restrict to centrally symmetric loops",
+        help="solve on loops with the body's own symmetry: order 4 when J "
+        "maps the body onto itself, 2 when it is centrally symmetric, none "
+        "on an asymmetric body",
     )
     p.set_defaults(func=_cmd_capacity)
 

@@ -9,6 +9,7 @@ Every body K exposes the same small contract:
 * ``gauge_gradient(x)`` gradient (or a deterministic subgradient selection)
 * ``polar()``           the polar body, satisfying h_K = g_{K polar}
 * ``boundary_point(d)`` the boundary point on the ray through d
+* ``is_symmetric``, ``is_j_invariant``  exact tests of K = -K and J K = K
 
 All evaluation methods are vectorized over leading axes, so ``gauge`` on an
 ``(N, d)`` array returns ``(N,)`` values.
@@ -30,6 +31,7 @@ from .errors import (
     SpecParseError,
     SymcapError,
 )
+from .symplectic import SymplecticFrame
 
 _SYM_TOL = 1e-9
 
@@ -65,6 +67,10 @@ class ConvexBody:
 
     @property
     def is_symmetric(self) -> bool:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @property
+    def is_j_invariant(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
     @property
@@ -224,6 +230,16 @@ class Ellipsoid(ConvexBody):
         return bool(np.all(self.center == 0.0))
 
     @property
+    def is_j_invariant(self) -> bool:
+        # centered, and J M J^T = M, i.e. M commutes with J; both products
+        # are signed copies, so the comparison is exact
+        if self.dim % 2 or not self.is_symmetric:
+            return False
+        frame = SymplecticFrame(self.dim // 2)
+        jmj = frame.apply_j(frame.apply_j(self.matrix).T)
+        return bool(np.array_equal(jmj, self.matrix))
+
+    @property
     def is_smooth(self) -> bool:
         return True
 
@@ -317,6 +333,14 @@ class LpBall(ConvexBody):
     @property
     def is_symmetric(self) -> bool:
         return True
+
+    @property
+    def is_j_invariant(self) -> bool:
+        # J swaps each (q_i, p_i) pair up to sign
+        n = self.dim // 2
+        return self.dim % 2 == 0 and bool(
+            np.array_equal(self.weights[:n], self.weights[n:])
+        )
 
     @property
     def is_smooth(self) -> bool:
@@ -467,12 +491,21 @@ class Polytope(ConvexBody):
             return Polytope(vertices=self.vertices * s)
         return Polytope(normals=self.normals, offsets=self.offsets * s)
 
+    def _maps_vertices_onto_themselves(self, image) -> bool:
+        v = self.vertices
+        dist, _ = cKDTree(v).query(image)
+        return bool(np.max(dist) <= _SYM_TOL * (1.0 + np.abs(v).max()))
+
     @property
     def is_symmetric(self) -> bool:
-        v = self.vertices
-        tree = cKDTree(v)
-        dist, _ = tree.query(-v)
-        return bool(np.max(dist) <= _SYM_TOL * (1.0 + np.abs(v).max()))
+        return self._maps_vertices_onto_themselves(-self.vertices)
+
+    @property
+    def is_j_invariant(self) -> bool:
+        if self.dim % 2:
+            return False
+        frame = SymplecticFrame(self.dim // 2)
+        return self._maps_vertices_onto_themselves(frame.apply_j(self.vertices))
 
     @property
     def is_smooth(self) -> bool:
@@ -559,8 +592,8 @@ def ball(dim: int, radius: float = 1.0) -> Ellipsoid:
 def body_from_dict(obj: dict) -> ConvexBody:
     """Build a body from the {"kind", "dim", "params"} description.
 
-    Parameters of the wrong type or shape raise SpecParseError; parameters
-    that parse but do not describe a convex body keep their own error.
+    Parameters of the wrong type or shape, and parameters that parse but
+    describe no convex body with the origin inside, raise SpecParseError.
     """
     if not isinstance(obj, dict):
         raise SpecParseError(f"body description must be an object, got {type(obj)}")
@@ -572,6 +605,8 @@ def body_from_dict(obj: dict) -> ConvexBody:
         raise SpecParseError(f"malformed body description: {exc}") from exc
     try:
         body = _body_from_params(kind, params)
+    except (NonConvexParameters, OriginNotInterior) as exc:
+        raise SpecParseError(f"invalid {kind!r} params: {exc}") from exc
     except SymcapError:
         raise
     except (TypeError, ValueError, AttributeError) as exc:

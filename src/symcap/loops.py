@@ -213,15 +213,6 @@ def resample_by_gauge_arclength(loop: DiscreteLoop, body: ConvexBody, count: int
     return DiscreteLoop(loop.frame, out)
 
 
-def split_at_half_length(loop: DiscreteLoop, body: ConvexBody):
-    """Split a loop into two open paths of equal gauge length.
-
-    The first path starts at vertex 0; both paths share their endpoints.
-    """
-    p1, p2 = split_closed_at_fractions(loop.vertices, body.gauge, 2)
-    return p1, p2
-
-
 # ---------------------------------------------------------------------------
 # Containment score
 # ---------------------------------------------------------------------------

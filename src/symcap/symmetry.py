@@ -111,10 +111,11 @@ def symmetrize_mfold(
     equals m * A_i + alpha_m |v_i|^2 exactly (A_i = action of the segment
     closed by its chord), which is verified numerically, and the best
     candidate action is never below the input action — the quantitative core
-    of the m-fold symmetrization argument.  The result is re-centered at its
-    vertex centroid, which is the exact fixed point of the rotate-translate
-    symmetry, so the output rotational symmetry is exact, then rescaled to
-    unit action.
+    of the m-fold symmetrization argument.  The result is the candidate's
+    first block, re-centered at the candidate's vertex centroid (the fixed
+    point of the rotate-translate symmetry), followed by its m - 1 rotated
+    copies, then rescaled to unit action.  For m = 2 and 4 the rotations are
+    exact signed permutations, so the output symmetry is exact.
 
     Even m needs a centrally symmetric norm body, since W^(m/2) = -I; every
     m needs a norm body invariant under W, screened on sampled directions.
@@ -192,12 +193,14 @@ def symmetrize_mfold(
             "bound must have been violated"
         )
     chosen_index = int(np.argmax(actions))
-    best = candidates[chosen_index] - candidates[chosen_index].mean(axis=0)
+    chosen = candidates[chosen_index]
+    block = len(chosen) // m
+    first = chosen[:block] - chosen.mean(axis=0)
+    best = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
     out_loop = DiscreteLoop(frame, best)
     post_action = out_loop.action()
     if post_action <= 0:
         raise ZeroAction("symmetrized loop has nonpositive action")
-    block = len(best) // m
     rotated = frame.root_multiply(m, 1, best)
     sym_residual = float(
         np.max(np.abs(np.roll(best, -block, axis=0) - rotated))

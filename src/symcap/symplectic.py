@@ -68,11 +68,17 @@ class SymplecticFrame:
         """Multiply by the m-th root of unity w^k = exp(2*pi*i*k/m).
 
         Acts as the simultaneous rotation by angle 2*pi*k/m of every
-        (q_j, p_j) plane, which is the same as cos(t) I + sin(t) J.
+        (q_j, p_j) plane, which is the same as cos(t) I + sin(t) J.  At a
+        multiple of the quarter turn it is the exact signed permutation
+        x, Jx, -x or -Jx, so these rotations compose without rounding.
         """
         if m < 1:
             raise ValueError(f"root order must be positive, got {m}")
         x = self._check(x)
+        quarters, rest = divmod(4 * k, m)
+        if rest == 0:
+            y = self.apply_j(x) if quarters % 2 else x.copy()
+            return -y if quarters % 4 >= 2 else y
         t = 2.0 * math.pi * k / m
         return math.cos(t) * x + math.sin(t) * self.apply_j(x)
 

@@ -143,6 +143,7 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
             seed=record.seed,
             restarts=int(profile_params.get("restarts", 8)),
             points=int(profile_params.get("points", 256)),
+            symmetric=True,
         )
         clarke_res = clarke_minimize(body, config)
         record.clarke = clarke_res.value

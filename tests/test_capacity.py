@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import math
 
@@ -19,12 +20,15 @@ from symcap.capacity import (
     clarke_minimize,
     ellipsoid_ehz_exact,
     frame_for,
+    symmetry_order,
     _functional_with_grad,
 )
 from symcap.errors import DimensionMismatch, NonConvexParameters, ZeroActionStart
 from symcap.geometry import (
     Ellipsoid,
+    Polytope,
     ball,
+    body_from_dict,
     cross_polytope,
     cube,
     lp_ball,
@@ -120,20 +124,32 @@ def test_functional_gradient_matches_finite_differences():
         cube(4),  # smoothed support
         lp_ball(4.0, np.ones(4)),
     ]:
-        x = fourier_loop(rng, frame_for(body), n_pts=12)
-        val, grad = _functional_with_grad(body, x)
-        h = 1e-6
-        for _ in range(6):
-            i = rng.integers(0, x.shape[0])
-            j = rng.integers(0, body.dim)
-            xp = x.copy()
-            xm = x.copy()
-            xp[i, j] += h
-            xm[i, j] -= h
-            fp, _ = _functional_with_grad(body, xp)
-            fm, _ = _functional_with_grad(body, xm)
-            fd = (fp - fm) / (2 * h)
-            assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-7)
+        frame = frame_for(body)
+        # on a J-invariant body also the reduced objective on the 12 free
+        # vertices of a loop with x_(k + 12) = W x_k, W = -I or J
+        for m in (1, 2, 4) if body.is_j_invariant else (1,):
+            loop = fourier_loop(rng, frame, n_pts=12 * m)
+            blocks = np.split(loop, m)
+            x = np.mean(
+                [frame.root_multiply(m, -j, b) for j, b in enumerate(blocks)], axis=0
+            )
+            val, grad = _functional_with_grad(body, x, m)
+            full = np.vstack([frame.root_multiply(m, j, x) for j in range(m)])
+            full_val, full_grad = _functional_with_grad(body, full)
+            assert val == pytest.approx(full_val, rel=1e-12)
+            assert np.allclose(grad, m * full_grad[:12], rtol=1e-9, atol=1e-12)
+            h = 1e-6
+            for _ in range(6):
+                i = rng.integers(0, x.shape[0])
+                j = rng.integers(0, body.dim)
+                xp = x.copy()
+                xm = x.copy()
+                xp[i, j] += h
+                xm[i, j] -= h
+                fp, _ = _functional_with_grad(body, xp, m)
+                fm, _ = _functional_with_grad(body, xm, m)
+                fd = (fp - fm) / (2 * h)
+                assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-7)
 
 
 # a center in general position: there the order in which BLAS sums u @ c
@@ -171,6 +187,67 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(points=31, symmetric=True)
+
+
+SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
+
+
+@pytest.mark.parametrize(
+    "body,order",
+    [
+        (ball(4), 4),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4),
+        (cube(4), 4),
+        (cross_polytope(4), 4),
+        (lp_ball(4.0, np.ones(4)), 4),
+        (Ellipsoid.from_radii([1.0, 2.0, 2.0, 1.0]), 2),
+        (lp_ball(np.inf, np.array([1.0, 2.0, 3.0, 4.0])), 2),
+        (lp_ball(4.0, np.array([1.0, 2.0, 1.0, 1.0])), 2),
+        (SIMPLEX4, 1),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]), 1),
+    ],
+    ids=[
+        "ball4",
+        "ellipsoid-1-2-1-2",
+        "cube4",
+        "cross4",
+        "l4ball",
+        "ellipsoid-1-2-2-1",
+        "box-1-2-3-4",
+        "l4ball-1-2-1-1",
+        "simplex4",
+        "shifted-ellipsoid",
+    ],
+)
+def test_symmetry_order_per_body_class(body, order):
+    assert symmetry_order(body, OptimizerConfig(points=64, symmetric=True)) == order
+    assert symmetry_order(body, OptimizerConfig(points=64)) == 1
+    # the order divides the point count
+    assert symmetry_order(body, OptimizerConfig(points=66, symmetric=True)) == min(
+        order, 2
+    )
+
+
+SUITE = importlib.resources.files("symcap") / "data" / "default_suite.json"
+SYMMETRIC_SUITE = [
+    e for e in json.loads(SUITE.read_text())["bodies"] if body_from_dict(e).is_symmetric
+]
+
+
+@pytest.mark.parametrize("entry", SYMMETRIC_SUITE, ids=lambda entry: entry["id"])
+def test_symmetric_solve_is_no_worse_than_the_full_solve(entry):
+    # the restriction to W-invariant loops loses nothing in the continuum;
+    # a wrong W, factor or gradient would raise the re-evaluated value
+    body = body_from_dict(entry)
+    for seed in (0, 1):
+        full = clarke_minimize(body, OptimizerConfig(points=64, restarts=1, seed=seed))
+        reduced = clarke_minimize(
+            body, OptimizerConfig(points=64, restarts=1, seed=seed, symmetric=True)
+        )
+        assert reduced.diagnostics["symmetry_order"] == 4
+        assert reduced.value <= full.value * (1.0 + 1e-3)
+        if isinstance(body, Ellipsoid):
+            assert reduced.value >= ellipsoid_ehz_exact(body).value * (1.0 - 1e-9)
 
 
 def test_clarke_ball_planar(clarke_ball2):
@@ -238,6 +315,10 @@ def test_clarke_symmetric_mode(clarke_ball4):
     assert res.diagnostics["symmetric"] is True
     half = res.witness.vertices[:48]
     assert np.allclose(res.witness.vertices[48:], -half, atol=1e-12)
+    # the ball is J-invariant: x_(k + N/4) = J x_k, bit for bit
+    assert res.diagnostics["symmetry_order"] == 4
+    v = res.witness.vertices
+    assert np.array_equal(np.roll(v, -24, axis=0), frame_for(ball(4)).apply_j(v))
     assert res.value == pytest.approx(clarke_ball4.value, rel=0.02)
 
 

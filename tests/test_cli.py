@@ -308,8 +308,18 @@ def test_symmetrize_order_below_two_exits_2(tmp_path, capsys, m):
         {"kind": "ellipsoid", "dim": 2, "params": {"radii": "abc"}},
         {"kind": "lp", "dim": 2, "params": {"p": "x", "weights": [1.0, 1.0]}},
         {"kind": "lp", "dim": 2, "params": [1, 2]},
+        {"kind": "ellipsoid", "dim": 2, "params": {"radii": [-1, 1]}},
+        {"kind": "lp", "dim": 2, "params": {"p": 0.5, "weights": [1.0, 1.0]}},
+        {"kind": "ellipsoid", "dim": 2, "params": {"radii": [1, 1], "center": [5, 0]}},
     ],
-    ids=["radii-not-numbers", "p-not-a-number", "params-not-an-object"],
+    ids=[
+        "radii-not-numbers",
+        "p-not-a-number",
+        "params-not-an-object",
+        "negative-radius",
+        "p-below-one",
+        "origin-outside",
+    ],
 )
 def test_malformed_body_params_exit_2(tmp_path, capsys, spec):
     body = write_json(tmp_path, "body.json", spec)

@@ -18,7 +18,6 @@ from symcap.loops import (
     export_loop_metrics,
     gauge_length,
     resample_by_gauge_arclength,
-    split_at_half_length,
     split_closed_at_fractions,
 )
 from symcap.symplectic import SymplecticFrame
@@ -142,25 +141,6 @@ def test_resample_random_loop_preserves_length_within_refinement():
     val = gauge_length(fine.normalize(), body)
     assert val <= base + 1e-9
     assert val >= base - 1e-2 * base
-
-
-def test_split_at_half_length_balanced():
-    body = ball(2)
-    loop = circle_loop(100)
-    p1, p2 = split_at_half_length(loop, body)
-    total = gauge_length(loop, body)
-
-    def open_length(path):
-        return float(np.sum(body.gauge(path[1:] - path[:-1])))
-
-    assert open_length(p1) == pytest.approx(total / 2, rel=1e-9)
-    assert open_length(p2) == pytest.approx(total / 2, rel=1e-9)
-    # shared endpoints, starting at vertex 0
-    assert np.allclose(p1[0], loop.vertices[0])
-    assert np.allclose(p1[-1], p2[0])
-    assert np.allclose(p2[-1], loop.vertices[0])
-    # an even circle starting at +e1 splits exactly at the antipode
-    assert np.allclose(p1[-1], [-1.0, 0.0], atol=1e-9)
 
 
 def test_split_into_many_pieces_recombines():

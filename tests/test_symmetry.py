@@ -67,7 +67,7 @@ def test_central_bulk_random_loops_never_lengthen():
         loop = nonzero_action_loop(rng, frame, n_pts=40)
         body = bodies[i % len(bodies)]
         out = symmetrize_central(loop, body)
-        assert out.residuals["symmetry"] <= 1e-9
+        assert out.residuals["symmetry"] == 0.0  # W = -I is exact
         assert out.residuals["action_additivity"] <= 1e-9
         assert (
             out.normalized_post_length()
@@ -110,6 +110,11 @@ def test_mfold_bulk_identity_and_invariance():
         assert np.max(
             np.abs(np.roll(v, -block, axis=0) - frame.root_multiply(m, 1, v))
         ) <= 1e-9
+        if m in (2, 4):  # W = -I and W = J are signed permutations
+            assert out.residuals["symmetry"] == 0.0
+            assert np.array_equal(
+                np.roll(v, -block, axis=0), frame.root_multiply(m, 1, v)
+            )
 
 
 def test_mfold_two_equals_central():

@@ -53,9 +53,14 @@ def test_root_multiply_identities():
         # the m copies of x under the rotation group sum to zero
         total = sum(frame.root_multiply(m, k, x) for k in range(m))
         assert np.max(np.abs(total)) <= 1e-12
-    # quarter turn is J itself
-    assert np.allclose(frame.root_multiply(4, 1, x), frame.apply_j(x), atol=1e-15)
-    assert np.allclose(frame.root_multiply(2, 1, x), -x, atol=1e-15)
+    # multiples of the quarter turn are the signed permutations x, Jx, -x,
+    # -Jx, bit for bit; the quarter turn is J itself
+    jx = frame.apply_j(x)
+    assert frame.root_multiply(4, 1, x).tobytes() == jx.tobytes()
+    assert frame.root_multiply(2, 1, x).tobytes() == (-x).tobytes()
+    cases = [(4, 0, x), (4, 3, -jx), (4, -1, -jx), (8, 2, jx), (12, -6, -x)]
+    for m, k, expected in cases:
+        assert frame.root_multiply(m, k, x).tobytes() == expected.tobytes()
 
 
 def test_root_multiply_preserves_omega():
