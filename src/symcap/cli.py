@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -32,28 +31,15 @@ from .geometry import body_from_dict
 from .girth import check_schaffer_bound, symmetric_girth
 from .loops import DiscreteLoop
 from .symmetry import symmetrize_mfold
-from .verify import load_suite, run_verify
-
-
-def _load_json(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+from .verify import PACKAGED_SUITE, read_json, run_verify
 
 
 def _load_body(path):
-    return body_from_dict(_load_json(path))
+    return body_from_dict(read_json(path))
 
 
 def _load_loop(path):
-    return DiscreteLoop.from_dict(_load_json(path))
+    return DiscreteLoop.from_dict(read_json(path))
 
 
 def _emit(args, payload, plain_line):
@@ -117,7 +103,12 @@ def _cmd_girth(args):
 
 def _cmd_flow(args):
     body = _load_body(args.body)
-    start = np.array([float(v) for v in args.start.split(",")])
+    try:
+        start = np.array([float(v) for v in args.start.split(",")])
+    except ValueError:
+        raise InvalidParameter("--start must be comma-separated numbers") from None
+    if start.shape != (body.dim,):
+        raise InvalidParameter(f"--start has {start.size} coordinates, need {body.dim}")
     trajectory = integrate_characteristic(
         body, start, args.tmax, step=args.step
     )
@@ -138,17 +129,9 @@ def _cmd_flow(args):
     return 0
 
 
-def _default_suite_path():
-    return resources.files("symcap").joinpath("data/default_suite.json")
-
-
 def _cmd_verify(args):
-    if args.suite is None:
-        suite = json.loads(_default_suite_path().read_text())
-    else:
-        suite = load_suite(args.suite)
     exit_code, records = run_verify(
-        suite,
+        args.suite or PACKAGED_SUITE,
         args.out,
         seed=args.seed,
         profile=args.profile,
@@ -238,6 +221,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (SpecParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)

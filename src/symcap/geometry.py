@@ -17,8 +17,6 @@ All evaluation methods are vectorized over leading axes, so ``gauge`` on an
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
@@ -642,15 +640,3 @@ def _body_from_params(kind, params) -> ConvexBody:
         return Polytope(normals=params["normals"], offsets=params["offsets"])
     raise SpecParseError(f"unknown body kind {kind!r}")
 
-
-def body_to_dict(body: ConvexBody) -> dict:
-    return body.to_dict()
-
-
-def body_from_json_file(path) -> ConvexBody:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecParseError(f"invalid JSON in {path}: {exc}") from exc
-    return body_from_dict(obj)

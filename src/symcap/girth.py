@@ -33,7 +33,7 @@ from .errors import (
     LoopNotSymmetric,
 )
 from .geometry import ConvexBody
-from .loops import DiscreteLoop, resample_polyline
+from .loops import DiscreteLoop, closed_length, resample_polyline
 from .symplectic import SymplecticFrame
 
 
@@ -45,7 +45,7 @@ REFINE_ITERATIONS = 400
 def schaffer_bound(dim: int) -> float:
     """Lower bound for the symmetric girth: 4 + 4/d, improved for odd d."""
     if dim < 2:
-        raise ValueError("girth bounds need dimension at least 2")
+        raise InvalidParameter(f"girth needs dimension at least 2, got {dim}")
     return 4.0 + 4.0 / (dim - 1 if dim % 2 else dim)
 
 
@@ -214,6 +214,7 @@ def symmetric_girth(
     the best half-path into an exactly symmetric closed loop, and tightens
     it by projected descent.  Returns ``(length, loop)``.
     """
+    bound = schaffer_bound(body.dim)
     bgraph = build_boundary_graph(
         body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
     )
@@ -247,7 +248,6 @@ def symmetric_girth(
     half, half_len = refine_symmetric_half(body, half)
 
     length = 2.0 * half_len
-    bound = schaffer_bound(body.dim)
     if length < bound - 1e-2:
         raise CalibrationError(
             f"computed symmetric curve length {length!r} undercuts the "
@@ -290,8 +290,7 @@ def check_schaffer_bound(body: ConvexBody, loop) -> dict:
         raise LoopNotOnBoundary(
             f"vertex gauge deviates from 1 by {boundary_defect:.2e}"
         )
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    length = float(np.sum(body.gauge(edges)))
+    length = closed_length(vertices, body.gauge)
     bound = schaffer_bound(body.dim)
     margin = length - bound
     return {

@@ -103,8 +103,9 @@ class DiscreteLoop:
         return cls(SymplecticFrame(dim // 2), vertices)
 
 
-def action(loop: DiscreteLoop) -> float:
-    return loop.action()
+def closed_length(vertices, norm_fn) -> float:
+    """Total norm length sum_i norm(x_{i+1} - x_i) of a closed polygon."""
+    return float(np.sum(norm_fn(np.roll(vertices, -1, axis=0) - vertices)))
 
 
 def gauge_length(loop: DiscreteLoop, body: ConvexBody) -> float:
@@ -113,30 +114,34 @@ def gauge_length(loop: DiscreteLoop, body: ConvexBody) -> float:
         raise DimensionMismatch("loop and body dimensions differ")
     if loop.has_consecutive_duplicates():
         raise DegenerateLoop("consecutive duplicate vertices; call normalize first")
-    return float(np.sum(body.gauge(loop.edges())))
+    return closed_length(loop.vertices, body.gauge)
 
 
 # ---------------------------------------------------------------------------
-# Arclength machinery shared by resampling, splitting and symmetrization
+# Arclength cuts shared by resampling, splitting and symmetrization
 # ---------------------------------------------------------------------------
 
-def _edge_norms(vertices, norm_fn, closed):
+def _cumulative_lengths(vertices, norm_fn, closed):
+    """Vertices as an array and the norm arclength at each polyline vertex;
+    a closed polyline's last entry is the length back at vertex 0."""
     v = np.asarray(vertices, dtype=float)
-    diffs = (np.roll(v, -1, axis=0) - v) if closed else (v[1:] - v[:-1])
-    return np.asarray(norm_fn(diffs), dtype=float)
+    heads = np.roll(v, -1, axis=0) if closed else v[1:]
+    lens = np.asarray(norm_fn(heads - v[: len(heads)]), dtype=float)
+    total = float(lens.sum())
+    if total <= 0:
+        raise DegenerateLoop("polyline has zero total length")
+    cumlen = np.concatenate([[0.0], np.cumsum(lens)])
+    cumlen[-1] = total
+    return v, cumlen
 
 
-def _point_at(vertices, cumlen, s, closed):
-    """Point at arclength s along a polyline with cumulative edge lengths."""
-    n_edges = len(cumlen) - 1
-    idx = int(np.searchsorted(cumlen, s, side="right") - 1)
-    idx = min(max(idx, 0), n_edges - 1)
-    seg_len = cumlen[idx + 1] - cumlen[idx]
-    t = 0.0 if seg_len <= 0 else (s - cumlen[idx]) / seg_len
-    v = vertices
+def _points_at(v, cumlen, s):
+    """Points a + t (b - a) at arclengths s, each on the edge a -> b holding it."""
+    idx = np.clip(np.searchsorted(cumlen, s, side="right") - 1, 0, len(cumlen) - 2)
+    seg = cumlen[idx + 1] - cumlen[idx]
+    t = np.divide(s - cumlen[idx], seg, out=np.zeros(len(idx)), where=seg > 0)
     a = v[idx]
-    b = v[(idx + 1) % len(v)] if closed else v[idx + 1]
-    return a + t * (b - a), idx, t
+    return a + t[:, None] * (v[(idx + 1) % len(v)] - a)
 
 
 def resample_polyline(vertices, norm_fn, count, closed):
@@ -146,21 +151,13 @@ def resample_polyline(vertices, norm_fn, count, closed):
     k*L/count starting from vertex 0.  For an open one, returns ``count``
     vertices with both endpoints included.
     """
-    v = np.asarray(vertices, dtype=float)
-    lens = _edge_norms(v, norm_fn, closed)
-    total = float(lens.sum())
-    if total <= 0:
-        raise DegenerateLoop("polyline has zero total length")
-    cumlen = np.concatenate([[0.0], np.cumsum(lens)])
-    cumlen[-1] = total
+    v, cumlen = _cumulative_lengths(vertices, norm_fn, closed)
+    total = cumlen[-1]
     if closed:
         targets = np.arange(count) * (total / count)
     else:
         targets = np.linspace(0.0, total, count)
-    out = np.empty((count, v.shape[1]))
-    for i, s in enumerate(targets):
-        out[i], _, _ = _point_at(v, cumlen, min(s, total), closed)
-    return out
+    return _points_at(v, cumlen, np.minimum(targets, total))
 
 
 def split_closed_at_fractions(vertices, norm_fn, pieces):
@@ -168,36 +165,21 @@ def split_closed_at_fractions(vertices, norm_fn, pieces):
 
     Returns a list of open vertex paths; consecutive paths share their
     endpoint, and the last path ends at vertex 0 again.  Split points landing
-    inside an edge are inserted by linear interpolation.
+    inside an edge are inserted by linear interpolation, and a point within
+    1e-13 * max(1, max |x|) of its predecessor on the path is dropped.
     """
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    lens = _edge_norms(v, norm_fn, closed=True)
-    total = float(lens.sum())
-    if total <= 0:
-        raise DegenerateLoop("loop has zero total length")
-    cumlen = np.concatenate([[0.0], np.cumsum(lens)])
-    cumlen[-1] = total
-    cuts = [k * total / pieces for k in range(pieces + 1)]
-    scale = max(1.0, float(np.abs(v).max()))
+    v, cumlen = _cumulative_lengths(vertices, norm_fn, closed=True)
+    cuts = np.arange(pieces + 1) * cumlen[-1] / pieces
+    ends = _points_at(v, cumlen, cuts)
+    tol = 1e-13 * max(1.0, float(np.abs(v).max()))
     paths = []
     for k in range(pieces):
-        s0, s1 = cuts[k], cuts[k + 1]
-        p0, _, _ = _point_at(v, cumlen, s0, closed=True)
-        p1, _, _ = _point_at(v, cumlen, s1, closed=True)
-        path = [p0]
-        # original vertices v_j sit at arclength cumlen[j]; keep those strictly
-        # inside (s0, s1), then close with the interpolated endpoint
-        for j in range(1, n + 1):
-            if s0 < cumlen[j] < s1:
-                path.append(v[j % n])
-        path.append(p1)
-        arr = np.asarray(path)
-        keep = [0]
-        for j in range(1, len(arr)):
-            if np.linalg.norm(arr[j] - arr[keep[-1]]) > 1e-13 * scale:
-                keep.append(j)
-        paths.append(arr[keep])
+        # vertex j % n sits at arclength cumlen[j]; keep those strictly
+        # inside the piece, between its interpolated endpoints
+        inside = np.nonzero((cuts[k] < cumlen[1:]) & (cumlen[1:] < cuts[k + 1]))[0]
+        path = np.vstack([ends[k], v[(inside + 1) % len(v)], ends[k + 1]])
+        step = np.linalg.norm(np.diff(path, axis=0), axis=1)
+        paths.append(path[np.concatenate([[True], step > tol])])
     return paths
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ZeroAction,
 )
 from .geometry import ConvexBody
-from .loops import DiscreteLoop, split_closed_at_fractions
+from .loops import DiscreteLoop, closed_length, split_closed_at_fractions
 from .symplectic import alpha_m
 
 
@@ -69,11 +69,6 @@ class SymmetrizationOutcome:
             "decomposition": self.decomposition,
             "residuals": self.residuals,
         }
-
-
-def _closed_length(vertices, norm_fn) -> float:
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    return float(np.sum(norm_fn(edges)))
 
 
 def symmetrize_central(
@@ -140,7 +135,7 @@ def symmetrize_mfold(
         verts = verts[::-1].copy()
         pre_action = -pre_action
     norm_fn = partial(clarke_edge_norm, norm_body)
-    pre_length = _closed_length(verts, norm_fn)
+    pre_length = closed_length(verts, norm_fn)
     scale = float(np.max(np.abs(verts))) or 1.0
 
     segments = split_closed_at_fractions(verts, norm_fn, m)
@@ -207,7 +202,7 @@ def symmetrize_mfold(
     )
     out_loop = out_loop.scaled(1.0 / math.sqrt(post_action))
     post_action = out_loop.action()
-    post_length = _closed_length(out_loop.vertices, norm_fn)
+    post_length = closed_length(out_loop.vertices, norm_fn)
 
     return SymmetrizationOutcome(
         output=out_loop,

@@ -7,14 +7,16 @@ bodies additionally get the boundary-curve length check against 4 + 4/d.
 Everything the run produces is deterministic in the seed: randomness is
 drawn from per-body streams derived from (seed, body index), report rows
 follow input order, and wall-clock times stay out of the reports unless
-explicitly requested.
+explicitly requested.  The file formats live here too: one JSON reader for
+body, loop and suite files, the suite and its profiles, the report columns.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
+from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -25,35 +27,6 @@ from .capacity import OptimizerConfig, c_j, clarke_minimize, ellipsoid_ehz_exact
 from .errors import SpecParseError
 from .geometry import Ellipsoid, body_from_dict
 from .girth import check_schaffer_bound, symmetric_girth
-
-DEFAULT_PROFILES = {
-    "fast": {"points": 128, "restarts": 4, "girth_samples": 2048},
-    "full": {"points": 256, "restarts": 8, "girth_samples": 4096},
-}
-
-CSV_COLUMNS = [
-    "body_id",
-    "dim",
-    "n",
-    "symmetric",
-    "c_j",
-    "c_j_method",
-    "clarke",
-    "clarke_method",
-    "exact",
-    "ratio",
-    "bound_general",
-    "margin_general",
-    "bound_symmetric",
-    "margin_symmetric",
-    "girth_length",
-    "schaffer_bound",
-    "schaffer_margin",
-    "seed",
-    "status",
-    "wall_time_s",
-]
-
 
 @dataclass
 class VerificationRecord:
@@ -97,22 +70,31 @@ class VerificationRecord:
         return all(m >= -tol for m in self.margins())
 
 
+CSV_COLUMNS = [f.name for f in fields(VerificationRecord)]
+PACKAGED_SUITE = resources.files("symcap") / "data" / "default_suite.json"
+
+
 def _derived_seed(base_seed: int, index: int, salt: int = 0) -> int:
     return int(np.random.SeedSequence([base_seed, index, salt]).generate_state(1)[0])
 
 
-def load_suite(path) -> dict:
-    """Parse a suite description, reporting position info on bad JSON."""
+def read_json(path):
+    """Parse a JSON file; unreadable files and bad JSON are SpecParseErrors."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SpecParseError(f"cannot read suite file {path}: {exc}") from exc
+        raise SpecParseError(f"cannot read {path}: {exc}") from exc
     try:
-        suite = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError(
-            f"suite parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_suite(path) -> dict:
+    """Parse a suite description, reporting position info on bad JSON."""
+    suite = read_json(path)
     if not isinstance(suite, dict) or "bodies" not in suite:
         raise SpecParseError('suite must be an object with a "bodies" list')
     if not isinstance(suite["bodies"], list):
@@ -141,8 +123,8 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
         config = OptimizerConfig(
             seed=record.seed,
-            restarts=int(profile_params.get("restarts", 8)),
-            points=int(profile_params.get("points", 256)),
+            restarts=int(profile_params["restarts"]),
+            points=int(profile_params["points"]),
             symmetric=True,
         )
         clarke_res = clarke_minimize(body, config)
@@ -161,7 +143,7 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
             girth_len, girth_loop = symmetric_girth(
                 body,
-                n_samples=int(profile_params.get("girth_samples", 4096)),
+                n_samples=int(profile_params["girth_samples"]),
                 rng=_derived_seed(seed, index, 2),
             )
             record.girth_length = girth_len
@@ -218,17 +200,26 @@ def run_verify(
 ):
     """Run the suite and persist reports; returns (exit_code, records).
 
-    Exit code 0 means every body was processed and every inequality margin
-    is at least -tol; any error or violated margin gives 1.
+    ``suite`` is a suite dict or a path to one.  Its profiles extend and
+    override those of the packaged suite.  Exit code 0 means every body was
+    processed and every inequality margin is at least -tol; any error or
+    violated margin gives 1.
     """
-    if isinstance(suite, (str, Path)):
+    if not isinstance(suite, dict):
         suite = load_suite(suite)
-    profiles = {**DEFAULT_PROFILES, **suite.get("profiles", {})}
+    own = suite.get("profiles", {})
+    if not isinstance(own, dict):
+        raise SpecParseError('"profiles" must be an object')
+    profiles = {**load_suite(PACKAGED_SUITE)["profiles"], **own}
     if profile not in profiles:
         raise SpecParseError(
             f"unknown profile {profile!r}; available: {sorted(profiles)}"
         )
     params = profiles[profile]
+    keys = ("points", "restarts", "girth_samples")
+    missing = [k for k in keys if not isinstance(params, dict) or k not in params]
+    if missing:
+        raise SpecParseError(f"profile {profile!r} lacks {', '.join(missing)}")
     records = [
         verify_body(entry, i, seed, params) for i, entry in enumerate(suite["bodies"])
     ]

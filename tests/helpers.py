@@ -153,6 +153,73 @@ def reference_functional_with_grad(body, frame, x):
     return val, grad
 
 
+def _reference_edge_norms(v, norm_fn, closed):
+    diffs = (np.roll(v, -1, axis=0) - v) if closed else (v[1:] - v[:-1])
+    return np.asarray(norm_fn(diffs), dtype=float)
+
+
+def _reference_point_at(v, cumlen, s, closed):
+    n_edges = len(cumlen) - 1
+    idx = int(np.searchsorted(cumlen, s, side="right") - 1)
+    idx = min(max(idx, 0), n_edges - 1)
+    seg_len = cumlen[idx + 1] - cumlen[idx]
+    t = 0.0 if seg_len <= 0 else (s - cumlen[idx]) / seg_len
+    a = v[idx]
+    b = v[(idx + 1) % len(v)] if closed else v[idx + 1]
+    return a + t * (b - a)
+
+
+def _reference_cumlen(v, norm_fn, closed):
+    lens = _reference_edge_norms(v, norm_fn, closed)
+    total = float(lens.sum())
+    cumlen = np.concatenate([[0.0], np.cumsum(lens)])
+    cumlen[-1] = total
+    return cumlen, total
+
+
+def reference_resample_polyline(vertices, norm_fn, count, closed):
+    """Equal-arclength resampling one target at a time: the formulation
+    ``loops.resample_polyline`` must reproduce bit for bit."""
+    v = np.asarray(vertices, dtype=float)
+    cumlen, total = _reference_cumlen(v, norm_fn, closed)
+    if closed:
+        targets = np.arange(count) * (total / count)
+    else:
+        targets = np.linspace(0.0, total, count)
+    out = np.empty((count, v.shape[1]))
+    for i, s in enumerate(targets):
+        out[i] = _reference_point_at(v, cumlen, min(s, total), closed)
+    return out
+
+
+def reference_split_closed_at_fractions(vertices, norm_fn, pieces):
+    """Equal-length split walking the vertices of each piece one by one and
+    dropping a point within 1e-13 * scale of the last kept one: the
+    formulation ``loops.split_closed_at_fractions`` must reproduce bit for
+    bit.  (That one compares each point with its predecessor, which differs
+    only on runs of steps each shorter than the tolerance.)"""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    cumlen, total = _reference_cumlen(v, norm_fn, True)
+    cuts = [k * total / pieces for k in range(pieces + 1)]
+    scale = max(1.0, float(np.abs(v).max()))
+    paths = []
+    for k in range(pieces):
+        s0, s1 = cuts[k], cuts[k + 1]
+        path = [_reference_point_at(v, cumlen, s0, True)]
+        for j in range(1, n + 1):
+            if s0 < cumlen[j] < s1:
+                path.append(v[j % n])
+        path.append(_reference_point_at(v, cumlen, s1, True))
+        arr = np.asarray(path)
+        keep = [0]
+        for j in range(1, len(arr)):
+            if np.linalg.norm(arr[j] - arr[keep[-1]]) > 1e-13 * scale:
+                keep.append(j)
+        paths.append(arr[keep])
+    return paths
+
+
 def central_residual(vertices):
     """max |x_i + x_(i + N/2)|: zero exactly for a centrally symmetric loop."""
     n = len(vertices)

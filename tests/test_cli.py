@@ -249,6 +249,24 @@ def test_verify_unknown_profile_exits_2(tmp_path, capsys):
     assert "unknown profile" in err
 
 
+@pytest.mark.parametrize(
+    "profiles,message",
+    [
+        ({"tiny": {"points": 48, "restarts": 2}}, "profile 'tiny' lacks girth_samples"),
+        ({"tiny": 5}, "profile 'tiny' lacks points, restarts, girth_samples"),
+        (["tiny"], '"profiles" must be an object'),
+    ],
+    ids=["missing-key", "not-an-object", "block-not-an-object"],
+)
+def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
+    suite = write_json(tmp_path, "suite.json", {"bodies": [BALL2], "profiles": profiles})
+    code, _, err = run_cli(
+        capsys, ["verify", suite, "--out", str(tmp_path / "r"), "--profile", "tiny"]
+    )
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -271,6 +289,10 @@ def test_usage_errors_exit_2(capsys):
         ["girth", "--neighbors", "0"],
         ["flow", "--start", "1,0", "--tmax", "0.5", "--step", "1"],
         ["flow", "--start", "2,0", "--tmax", "7"],
+        ["flow", "--start", "a,b", "--tmax", "1"],
+        ["flow", "--start", "1,0,0", "--tmax", "1"],
+        ["capacity", "--seed", "-1"],
+        ["girth", "--samples", "8", "--seed", "-3"],
     ],
     ids=[
         "too-few-points",
@@ -282,6 +304,10 @@ def test_usage_errors_exit_2(capsys):
         "no-neighbors",
         "step-beyond-tmax",
         "start-off-boundary",
+        "start-not-numbers",
+        "start-wrong-length",
+        "capacity-negative-seed",
+        "girth-negative-seed",
     ],
 )
 def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
@@ -290,6 +316,21 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_verify_negative_seed_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, ["verify", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_girth_below_dimension_two_exits_2(tmp_path, capsys):
+    segment = {"kind": "ellipsoid", "dim": 1, "params": {"radii": [1.0]}}
+    body = write_json(tmp_path, "segment.json", segment)
+    code, _, err = run_cli(capsys, ["girth", body, "--samples", "8"])
+    assert code == 2
+    assert err == "error: girth needs dimension at least 2, got 1\n"
 
 
 @pytest.mark.parametrize("m", ["1", "0", "-2"])

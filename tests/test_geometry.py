@@ -17,7 +17,6 @@ from symcap.geometry import (
     Polytope,
     ball,
     body_from_dict,
-    body_to_dict,
     cross_polytope,
     cube,
     lp_ball,
@@ -245,7 +244,7 @@ def test_dimension_mismatch():
 
 def test_json_round_trip():
     for name, body in BODIES:
-        data = body_to_dict(body)
+        data = body.to_dict()
         clone = body_from_dict(json.loads(json.dumps(data)))
         rng = np.random.default_rng(43)
         x = rng.normal(size=(100, body.dim))

@@ -37,8 +37,11 @@ def test_schaffer_bound_values():
     assert schaffer_bound(4) == pytest.approx(5.0)
     assert schaffer_bound(5) == pytest.approx(5.0)
     assert schaffer_bound(6) == pytest.approx(4.0 + 4.0 / 6.0)
-    with pytest.raises(ValueError):
+    # a 1-d body has no closed curve; the search must not start
+    with pytest.raises(InvalidParameter, match="dimension at least 2"):
         schaffer_bound(1)
+    with pytest.raises(InvalidParameter, match="dimension at least 2"):
+        symmetric_girth(ball(1), n_samples=8)
 
 
 def test_boundary_graph_invariants():

@@ -18,11 +18,17 @@ from symcap.loops import (
     export_loop_metrics,
     gauge_length,
     resample_by_gauge_arclength,
+    resample_polyline,
     split_closed_at_fractions,
 )
 from symcap.symplectic import SymplecticFrame
 
-from helpers import fourier_loop, regular_polygon
+from helpers import (
+    fourier_loop,
+    reference_resample_polyline,
+    reference_split_closed_at_fractions,
+    regular_polygon,
+)
 
 
 def circle_loop(n=512, radius=1.0, frame=None):
@@ -157,6 +163,28 @@ def test_split_into_many_pieces_recombines():
     rebuilt_loop = DiscreteLoop(frame, rebuilt).normalize()
     assert gauge_length(rebuilt_loop, body) == pytest.approx(total, rel=1e-9)
     assert rebuilt_loop.action() == pytest.approx(loop.action(), rel=1e-9)
+
+
+def test_arclength_cuts_are_bitwise_the_references():
+    # the vectorized cut must reproduce the vertex-by-vertex walks exactly,
+    # also where repeated vertices leave zero-length edges
+    rng = np.random.default_rng(11)
+    norms = (ball(4).gauge, cube(4).gauge, lambda e: np.linalg.norm(e, axis=-1))
+    for k in range(90):
+        v = rng.normal(size=((5, 17, 65)[k % 3], 4))
+        if k % 2:
+            dup = rng.choice(len(v) - 1, size=len(v) // 4, replace=False)
+            v[dup + 1] = v[dup]
+        norm_fn = norms[k % 3]
+        for closed in (True, False):
+            count = (3, 16, 64)[(k // 3) % 3]
+            out = resample_polyline(v, norm_fn, count, closed)
+            ref = reference_resample_polyline(v, norm_fn, count, closed)
+            assert out.tobytes() == ref.tobytes()
+        for pieces in (2, 3, 5):
+            out = split_closed_at_fractions(v, norm_fn, pieces)
+            ref = reference_split_closed_at_fractions(v, norm_fn, pieces)
+            assert [p.tobytes() for p in out] == [p.tobytes() for p in ref]
 
 
 def test_containment_tiny_triangle():
