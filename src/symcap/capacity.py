@@ -74,12 +74,18 @@ class CapacityResult:
         return out
 
 
-# L-BFGS-B settings and the p-norm that smooths polytope supports for the
-# optimizer; the reported value always re-evaluates with the exact support
+# L-BFGS-B settings and the continuation levels of one restart (see
+# ``_levels``).  Polytopes sharpen the p-norm that smooths their support, at
+# the full point count; smooth bodies start at N / 2^POINT_HALVINGS points and
+# double them.  The reported value always re-evaluates with the exact support.
+# MAX_POINTS bounds the loop size a caller may ask for.
 MAX_ITERATIONS = 5000
+LEVEL_ITERATIONS = 500
 F_RTOL = 1e-12
 G_TOL = 1e-10
-SMOOTHING_P = 40.0
+SMOOTHING_LEVELS = (40.0, 160.0, 640.0, 2560.0, 10240.0)
+POINT_HALVINGS = 3
+MAX_POINTS = 1 << 16
 
 
 @dataclass
@@ -90,7 +96,9 @@ class OptimizerConfig:
     symmetry W: order 4 (W = J) when J maps the body onto itself, order 2
     (W = -I) when it is centrally symmetric, and none (order 1) on an
     asymmetric body.  The order must divide ``points``; otherwise the next
-    lower one is used.
+    lower one is used.  ``points`` is the loop size of the last continuation
+    level: each restart also solves coarser loops or smoother supports first
+    (``clarke_minimize``), on a fixed schedule that has no knob here.
     """
 
     seed: int = 0
@@ -101,6 +109,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.points < 3:
             raise InvalidParameter("need at least 3 loop points")
+        if self.points > MAX_POINTS:
+            raise InvalidParameter(
+                f"at most {MAX_POINTS} loop points, got {self.points}"
+            )
         if self.restarts < 1:
             raise InvalidParameter("need at least 1 restart")
         if self.symmetric and self.points % 2 != 0:
@@ -197,9 +209,10 @@ def _edges_and_action(x, m=1):
     return plan, xx, x_next, u, float(0.5 * (jx * x_next).sum(axis=-1).sum())
 
 
-def _functional_with_grad(body, x, m=1):
+def _functional_with_grad(body, x, m, p):
     """The functional and its gradient in the free vertices x of a loop
-    continued by W = root_multiply(m, 1); polytope supports are smoothed.
+    continued by W = root_multiply(m, 1); polytope supports are smoothed
+    with exponent p, which smooth bodies ignore.
 
     The body must be invariant under W.  Then the loop's length and action
     are m times those of its first block, and by equivariance the gradient
@@ -215,7 +228,7 @@ def _functional_with_grad(body, x, m=1):
     if body.is_smooth:
         h, s = body.support_and_point(u)
     else:
-        h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
+        h, s = body.smoothed_support_and_point(u, p)
     length = m * float(h.sum())
     a = m * a
     # dL/dx_k = -J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
@@ -303,6 +316,31 @@ def symmetry_order(body: ConvexBody, config: OptimizerConfig) -> int:
     return 1
 
 
+def _levels(body: ConvexBody, n_pts: int, m: int):
+    """(point count, smoothing p, iteration cap) per continuation level,
+    coarsest first.  A count is halved only while it stays a multiple of m
+    and at least 4m.  The last point level alone runs to MAX_ITERATIONS;
+    smoothing levels all stop at LEVEL_ITERATIONS, since at p = 10240 the
+    functional is nearly as kinked as the exact one and more iterations
+    barely lower the value."""
+    if not body.is_smooth:
+        return [(n_pts, p, LEVEL_ITERATIONS) for p in SMOOTHING_LEVELS]
+    counts = [n_pts]
+    for _ in range(POINT_HALVINGS):
+        if counts[0] % (2 * m) or counts[0] < 8 * m:
+            break
+        counts.insert(0, counts[0] // 2)
+    caps = [LEVEL_ITERATIONS] * (len(counts) - 1) + [MAX_ITERATIONS]
+    return [(n, None, cap) for n, cap in zip(counts, caps)]
+
+
+def _refine(frame, y, m):
+    """The free vertices y interleaved with the edge midpoints of their loop
+    continued by x_{len(y)} = W x_0: twice as many, same continuation."""
+    nxt = np.vstack([y[1:], frame.root_multiply(m, 1, y[:1])])
+    return np.stack([y, 0.5 * (y + nxt)], axis=1).reshape(-1, y.shape[1])
+
+
 def clarke_minimize(
     body: ConvexBody, config: Optional[OptimizerConfig] = None
 ) -> CapacityResult:
@@ -310,21 +348,30 @@ def clarke_minimize(
 
     Multistart quasi-Newton descent on the vertex coordinates of the loops
     with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
-    N/m vertices are free.  The reported value re-evaluates the best full
-    loop with the exact support function, so it is always a genuine
-    discrete upper bound; for polytopes the smoothed value that was
-    actually optimized is kept in the diagnostics.
+    N/m vertices are free.  Each restart runs the levels of ``_levels`` in
+    turn, each warm-started from the last: on a polytope the smoothing
+    exponent p = 40, 160, ..., 10240 at N points, on a smooth body N/8,
+    N/4, N/2 and N points, each finer loop seeded by ``_refine``.  A
+    translated ellipsoid is solved on its centered copy, whose symmetry may
+    be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to zero,
+    so the functional is the same.  The reported value re-evaluates the
+    best full loop on the body itself with the exact support function, so
+    it is always a genuine discrete upper bound; for polytopes the smoothed
+    value of the last level is kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
     frame = frame_for(body)
     n_pts = config.points
-    m = symmetry_order(body, config)
-    free = n_pts // m
-    scale = 0.5 * body.outer_radius()
+    solve_body = Ellipsoid(body.matrix) if isinstance(body, Ellipsoid) else body
+    m = symmetry_order(solve_body, config)
+    levels = _levels(solve_body, n_pts, m)
+    scale = 0.5 * solve_body.outer_radius()
 
-    def objective(flat):
-        val, grad = _functional_with_grad(body, flat.reshape(free, frame.dim), m)
+    def objective(flat, p):
+        val, grad = _functional_with_grad(
+            solve_body, flat.reshape(-1, frame.dim), m, p
+        )
         return val, grad.ravel()
 
     best_x = None
@@ -334,7 +381,7 @@ def clarke_minimize(
     converged_flags = []
     for rng in spawn_rngs(config.seed, config.restarts):
         for _ in range(10):
-            x0 = _planar_ellipse_init(frame, rng, n_pts, scale)
+            x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
             if abs(frame.polygon_action(x0)) > 1e-10 * scale**2:
                 break
         else:
@@ -342,27 +389,30 @@ def clarke_minimize(
         if frame.polygon_action(x0) < 0:
             x0 = x0[::-1].copy()
         # the W-invariant part of the start: sum_j W^-j x0_j / m over blocks
-        x0 = np.mean(
+        y = np.mean(
             [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],
             axis=0,
         )
-        res = minimize(
-            objective,
-            x0.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": MAX_ITERATIONS,
-                "ftol": F_RTOL,
-                "gtol": G_TOL,
-                "maxcor": 20,
-            },
-        )
-        y = res.x.reshape(free, frame.dim)
+        nit = 0
+        for n, p, max_iterations in levels:
+            if n > m * len(y):
+                y = _refine(frame, y, m)
+            res = minimize(
+                objective,
+                y.ravel(),
+                args=(p,),
+                jac=True,
+                method="L-BFGS-B",
+                options=dict(
+                    maxiter=max_iterations, ftol=F_RTOL, gtol=G_TOL, maxcor=20
+                ),
+            )
+            y = res.x.reshape(-1, frame.dim)
+            nit += int(res.nit)
         x_final = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
         value = clarke_functional(body, x_final)
         restart_values.append(value)
-        iterations.append(int(res.nit))
+        iterations.append(nit)
         converged_flags.append(bool(res.success))
         if value < best_val:
             best_val = value
@@ -384,10 +434,9 @@ def clarke_minimize(
         "symmetry_order": m,
     }
     if not body.is_smooth:
-        diagnostics["smoothing_p"] = SMOOTHING_P
-        diagnostics["smoothed_value"] = clarke_functional(
-            body, witness, smoothing_p=SMOOTHING_P
-        )
+        last_p = levels[-1][1]
+        diagnostics["smoothing_p"] = last_p
+        diagnostics["smoothed_value"] = clarke_functional(body, witness, last_p)
     return CapacityResult(
         value=value, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
     )

@@ -79,6 +79,8 @@ def integrate_characteristic(
     if body.dim % 2 != 0:
         raise NotSmoothBody("characteristic flow needs an even-dimensional body")
     x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParameter(f"start point must be finite, got {x0.tolist()}")
     g0 = float(body.gauge(x0))
     if abs(g0 - 1.0) > 1e-9:
         raise InvalidParameter(

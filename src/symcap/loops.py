@@ -52,10 +52,6 @@ class DiscreteLoop:
     def dim(self) -> int:
         return self.frame.dim
 
-    def edges(self) -> np.ndarray:
-        """Edge vectors x_{i+1} - x_i, cyclically (last edge closes the loop)."""
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
-
     def action(self) -> float:
         return float(self.frame.polygon_action(self.vertices))
 

@@ -117,6 +117,10 @@ def symmetrize_mfold(
     """
     if m < 2:
         raise InvalidParameter(f"symmetry order m must be at least 2, got {m}")
+    if loop.dim != norm_body.dim:
+        raise InvalidParameter(
+            f"loop has dimension {loop.dim}, norm body has dimension {norm_body.dim}"
+        )
     if m % 2 == 0 and not norm_body.is_symmetric:
         raise BodyNotSymmetric(
             f"order-{m} symmetrization needs a centrally symmetric norm body"

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from symcap.capacity import SMOOTHING_P, clarke_edge_norm
+from symcap.capacity import clarke_edge_norm
 from symcap.errors import NonConvexParameters
 from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
 from symcap.loops import DiscreteLoop, split_closed_at_fractions
@@ -129,10 +129,11 @@ def gauge_scaling_lp(body, x):
     return float(res.fun)
 
 
-def reference_functional_with_grad(body, frame, x):
+def reference_functional_with_grad(body, frame, x, p):
     """The Clarke functional and its gradient from np.roll, apply_j and
-    polygon_action: the formulation ``capacity._functional_with_grad`` must
-    reproduce bit for bit."""
+    polygon_action, polytope supports smoothed with exponent p: the
+    formulation ``capacity._functional_with_grad`` must reproduce bit for
+    bit."""
     edges = np.roll(x, -1, axis=0) - x
     u = -frame.apply_j(edges)
     # the l^p ball as two separate calls, as before its fused support_and_point
@@ -141,7 +142,7 @@ def reference_functional_with_grad(body, frame, x):
     elif body.is_smooth:
         h, s = body.support(u), body.support_point(u)
     else:
-        h, s = body.smoothed_support_and_point(u, SMOOTHING_P)
+        h, s = body.smoothed_support_and_point(u, p)
     length = float(np.sum(h))
     a = float(frame.polygon_action(x))
     grad_len = -frame.apply_j(s - np.roll(s, 1, axis=0))

@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import json
 import math
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from symcap.capacity import (
+    MAX_POINTS,
     METHOD_CLARKE,
     METHOD_ELLIPSOID_EIGEN,
     METHOD_EXACT_SPECTRAL,
     METHOD_EXACT_VERTEX_PAIR,
     METHOD_MULTISTART,
+    SMOOTHING_LEVELS,
     CapacityResult,
     OptimizerConfig,
     c_j,
@@ -22,6 +25,8 @@ from symcap.capacity import (
     frame_for,
     symmetry_order,
     _functional_with_grad,
+    _levels,
+    _refine,
 )
 from symcap.errors import DimensionMismatch, NonConvexParameters, ZeroActionStart
 from symcap.geometry import (
@@ -126,16 +131,21 @@ def test_functional_gradient_matches_finite_differences():
     ]:
         frame = frame_for(body)
         # on a J-invariant body also the reduced objective on the 12 free
-        # vertices of a loop with x_(k + 12) = W x_k, W = -I or J
-        for m in (1, 2, 4) if body.is_j_invariant else (1,):
+        # vertices of a loop with x_(k + 12) = W x_k, W = -I or J; the cube
+        # at the first and the last smoothing level
+        orders = (1, 2, 4) if body.is_j_invariant else (1,)
+        exponents = (
+            (None,) if body.is_smooth else (SMOOTHING_LEVELS[0], SMOOTHING_LEVELS[-1])
+        )
+        for m, p in itertools.product(orders, exponents):
             loop = fourier_loop(rng, frame, n_pts=12 * m)
             blocks = np.split(loop, m)
             x = np.mean(
                 [frame.root_multiply(m, -j, b) for j, b in enumerate(blocks)], axis=0
             )
-            val, grad = _functional_with_grad(body, x, m)
+            val, grad = _functional_with_grad(body, x, m, p)
             full = np.vstack([frame.root_multiply(m, j, x) for j in range(m)])
-            full_val, full_grad = _functional_with_grad(body, full)
+            full_val, full_grad = _functional_with_grad(body, full, 1, p)
             assert val == pytest.approx(full_val, rel=1e-12)
             assert np.allclose(grad, m * full_grad[:12], rtol=1e-9, atol=1e-12)
             h = 1e-6
@@ -146,8 +156,8 @@ def test_functional_gradient_matches_finite_differences():
                 xm = x.copy()
                 xp[i, j] += h
                 xm[i, j] -= h
-                fp, _ = _functional_with_grad(body, xp, m)
-                fm, _ = _functional_with_grad(body, xm, m)
+                fp, _ = _functional_with_grad(body, xp, m, p)
+                fm, _ = _functional_with_grad(body, xm, m, p)
                 fd = (fp - fm) / (2 * h)
                 assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-7)
 
@@ -174,8 +184,8 @@ def test_functional_with_grad_is_bitwise_the_reference(name, body, order):
         x = fourier_loop(rng, frame, n_pts=(3, 12, 128)[k % 3])
         if k % 2 and body.dim >= 4:
             x[:, 1] = 0.0  # zero edge components: the signs of zeros must agree
-        val, grad = _functional_with_grad(body, np.asarray(x, order=order))
-        ref_val, ref_grad = reference_functional_with_grad(body, frame, x)
+        val, grad = _functional_with_grad(body, np.asarray(x, order=order), 1, 40.0)
+        ref_val, ref_grad = reference_functional_with_grad(body, frame, x, 40.0)
         assert val.hex() == ref_val.hex()
         assert grad.tobytes() == ref_grad.tobytes()
 
@@ -187,6 +197,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(points=31, symmetric=True)
+    with pytest.raises(ValueError):
+        OptimizerConfig(points=MAX_POINTS + 1)
+    assert OptimizerConfig(points=MAX_POINTS).points == MAX_POINTS
 
 
 SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
@@ -325,12 +338,65 @@ def test_clarke_symmetric_mode(clarke_ball4):
 def test_clarke_polytope_reports_smoothed_value():
     res = clarke_minimize(cube(4), OptimizerConfig(points=64, restarts=2, seed=7))
     assert "smoothed_value" in res.diagnostics
-    assert res.diagnostics["smoothing_p"] == 40.0
+    assert res.diagnostics["smoothing_p"] == 10240.0  # the last level's
     # smoothed support dominates the exact one, so the reported value is tighter
     assert res.value <= res.diagnostics["smoothed_value"] + 1e-12
     # cube capacity is 4; the coarse run must stay in its neighbourhood above
     assert res.value >= 4.0 - 1e-6
     assert res.value <= 4.0 * 1.1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_clarke_cube_is_within_1e3_of_its_capacity(seed):
+    # c_EHZ([-1, 1]^4) = 4, attained by a 2-bounce billiard; the smoothing
+    # continuation must reach it from above, and a value below it is a bug
+    res = clarke_minimize(
+        cube(4), OptimizerConfig(points=32, restarts=1, seed=seed, symmetric=True)
+    )
+    assert 4.0 * (1 - 1e-9) <= res.value <= 4.0 * (1 + 1e-3)
+
+
+def test_continuation_levels():
+    assert _levels(cube(4), 64, 4) == [(64, p, 500) for p in SMOOTHING_LEVELS]
+    counts = lambda n, m: [lvl[0] for lvl in _levels(ball(4), n, m)]
+    assert counts(256, 4) == [32, 64, 128, 256]
+    assert counts(96, 4) == [24, 48, 96]  # 12 points would be below 4m
+    assert counts(66, 2) == [66]  # 33 is not a multiple of 2
+    assert counts(40, 1) == [5, 10, 20, 40]
+    assert counts(7, 1) == [7]
+    levels = _levels(ball(4), 256, 4)
+    assert [lvl[2] for lvl in levels] == [500, 500, 500, 5000]
+    assert all(lvl[1] is None for lvl in levels)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_refine_is_the_midpoints_of_the_continued_loop(m):
+    frame = SymplecticFrame(2)
+    y = fourier_loop(np.random.default_rng(m), frame, n_pts=6)
+    full = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
+    mid = 0.5 * (full + np.roll(full, -1, axis=0))
+    expected = np.empty((2 * len(full), 4))
+    expected[0::2] = full
+    expected[1::2] = mid
+    refined = _refine(frame, y, m)
+    assert refined.tobytes() == expected[: 2 * len(y)].tobytes()
+    # the refined free vertices continue by W as the coarse ones did
+    cont = np.vstack([frame.root_multiply(m, j, refined) for j in range(m)])
+    assert cont.tobytes() == expected.tobytes()
+
+
+def test_clarke_shifted_ellipsoid_solves_centered():
+    # the functional is translation invariant: the shifted ellipsoid is
+    # solved on its J-invariant centered copy and gives the same value
+    shifted = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1])
+    centered = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
+    config = OptimizerConfig(points=64, restarts=2, seed=3, symmetric=True)
+    res = clarke_minimize(shifted, config)
+    ref = clarke_minimize(centered, config)
+    assert res.diagnostics["symmetry_order"] == 4
+    assert res.value == pytest.approx(ref.value, rel=1e-12)
+    assert res.value == pytest.approx(clarke_functional(shifted, res.witness), rel=0)
+    assert res.value >= ellipsoid_ehz_exact(shifted).value - 1e-9
 
 
 def test_c_j_ball_radius_squared():

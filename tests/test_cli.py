@@ -293,6 +293,9 @@ def test_usage_errors_exit_2(capsys):
         ["flow", "--start", "1,0,0", "--tmax", "1"],
         ["capacity", "--seed", "-1"],
         ["girth", "--samples", "8", "--seed", "-3"],
+        ["flow", "--start", "nan,0", "--tmax", "1"],
+        ["flow", "--start", "inf,0", "--tmax", "1"],
+        ["capacity", "--points", "1000000000", "--restarts", "1"],
     ],
     ids=[
         "too-few-points",
@@ -308,6 +311,9 @@ def test_usage_errors_exit_2(capsys):
         "start-wrong-length",
         "capacity-negative-seed",
         "girth-negative-seed",
+        "start-nan",
+        "start-inf",
+        "too-many-points",
     ],
 )
 def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
@@ -341,6 +347,14 @@ def test_symmetrize_order_below_two_exits_2(tmp_path, capsys, m):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
+    loop = write_json(tmp_path, "loop.json", TRIANGLE)
+    body = write_json(tmp_path, "ball4.json", BALL4)
+    code, _, err = run_cli(capsys, ["symmetrize", loop, "--body", body])
+    assert code == 2
+    assert err == "error: loop has dimension 2, norm body has dimension 4\n"
 
 
 @pytest.mark.parametrize(

@@ -127,7 +127,8 @@ def test_mfold_two_equals_central():
         ref_index, ref_loop = reference_symmetrize_central(loop, body)
         via_mfold = symmetrize_mfold(loop, body, 2)
         assert via_mfold.chosen_index == ref_index
-        ref_length = float(np.sum(clarke_edge_norm(body, ref_loop.edges())))
+        ref_edges = np.roll(ref_loop.vertices, -1, axis=0) - ref_loop.vertices
+        ref_length = float(np.sum(clarke_edge_norm(body, ref_edges)))
         assert via_mfold.normalized_post_length() == pytest.approx(
             ref_length, rel=1e-9
         )
