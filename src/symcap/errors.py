@@ -79,7 +79,7 @@ class OrbitNotClosed(SymcapError, ValueError):
 
 
 class CalibrationError(SymcapError, RuntimeError):
-    """The startup self test of the capacity functional failed."""
+    """A computed value contradicts a closed form or a guaranteed bound."""
 
 
 class OptimizerDidNotConverge(SymcapError, RuntimeError):

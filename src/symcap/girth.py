@@ -5,8 +5,10 @@ body in its own norm) is approached from above in two stages: a k-nearest
 neighbor graph over antipodally paired boundary samples supplies globally
 reasonable half-curves from a point to its antipode, and a projected,
 strictly monotone local descent tightens the half while keeping every vertex
-on the boundary.  The curve is stored as one half plus its reflection, so
-central symmetry is exact by construction.
+on the boundary.  The graph search meets in the middle: the antipodal map is
+an isometry of the graph, so d(x, -x) is read from one Dijkstra search from
+x cut off at about half that distance.  The curve is stored as one half plus
+its reflection, so central symmetry is exact by construction.
 
 ``check_schaffer_bound`` reports the margin of a symmetric boundary loop
 against the guaranteed lower bound 4 + 4/d (even dimension; 4 + 4/(d-1) in
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from ._util import as_rng
@@ -40,6 +42,7 @@ from .symplectic import SymplecticFrame
 # vertices of the refined half-curve, and the projected descent's step budget
 REFINE_POINTS = 64
 REFINE_ITERATIONS = 400
+SEARCH_CHUNK = 128  # sources per cut-off Dijkstra call: 2 x 128 x p floats
 
 
 def schaffer_bound(dim: int) -> float:
@@ -132,12 +135,7 @@ def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
     density.
     """
     target = int(bgraph.antipode[source])
-    dist, pred = dijkstra(
-        bgraph.graph,
-        directed=False,
-        indices=source,
-        return_predecessors=True,
-    )
+    dist, pred = dijkstra(bgraph.graph, indices=source, return_predecessors=True)
     if not np.isfinite(dist[target]):
         raise GraphDisconnected(
             "no boundary path between antipodes; increase k_neighbors"
@@ -149,16 +147,33 @@ def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
     return float(dist[target]), path
 
 
-def _antipodal_distances(bgraph: BoundaryGraph, sources, chunk: int = 512):
-    """d(x, -x) for each requested source, computed in memory-bounded chunks."""
-    out = np.empty(len(sources))
-    for start in range(0, len(sources), chunk):
-        batch = sources[start : start + chunk]
-        dist = dijkstra(bgraph.graph, directed=False, indices=batch)
-        out[start : start + len(batch)] = dist[
-            np.arange(len(batch)), bgraph.antipode[batch]
-        ]
-    return out
+def _shortest_antipodal_source(bgraph: BoundaryGraph) -> int:
+    """First sample x < p/2 of minimal graph distance d(x, -x).
+
+    The antipodal map is an isometry of the graph, so a shortest x -> -x
+    path of length D, with edges at most w_max long, passes a vertex y with
+    d(x, y) and d(x, -y) = d(-x, y) both at most (D + w_max)/2.  Hence
+    D = min_y [d(x, y) + d(x, -y)] over one search from x cut off at that
+    radius, with D no larger than the best distance found so far.  A cut-off
+    row never underestimates D, and the sources within 1e-9 relative of the
+    least such meet value get a full search that picks the minimum exactly.
+    """
+    graph, antipode = bgraph.graph, bgraph.antipode
+    sources = np.arange(bgraph.size // 2)
+    w_max = float(graph.data.max())
+    best = float(dijkstra(graph, indices=0)[antipode[0]])
+    meet = np.empty(len(sources))
+    for start in range(0, len(sources), SEARCH_CHUNK):
+        batch = sources[start : start + SEARCH_CHUNK]
+        radius = 0.5 * (best + w_max) * (1 + 1e-9)
+        dist = dijkstra(graph, indices=batch, limit=radius)
+        pair = dist[:, antipode]
+        pair += dist
+        meet[batch] = pair.min(axis=1)
+        best = min(best, float(meet[batch].min()))
+    ties = sources[meet <= meet.min() * (1 + 1e-9)]
+    exact = dijkstra(graph, indices=ties)[np.arange(len(ties)), antipode[ties]]
+    return int(ties[np.argmin(exact)])
 
 
 def _half_length_and_grad(body, half):
@@ -210,32 +225,31 @@ def symmetric_girth(
 ):
     """Upper bound for the minimal symmetric closed boundary curve length.
 
-    Searches the boundary graph from every sample to its antipode, doubles
-    the best half-path into an exactly symmetric closed loop, and tightens
-    it by projected descent.  Returns ``(length, loop)``.
+    Finds the sample nearest its antipode in the boundary graph (doubling
+    the neighbor count until every antipodal pair is connected), doubles
+    that half-path into an exactly symmetric closed loop, and tightens it by
+    projected descent.  Returns ``(length, loop)``.
     """
     bound = schaffer_bound(body.dim)
     bgraph = build_boundary_graph(
         body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
     )
     p = bgraph.size
-    candidates = np.arange(p // 2)  # antipodal symmetry halves the work
-    dists = _antipodal_distances(bgraph, candidates)
     # a 1-dimensional boundary (d = 2) is cut in two by any gap between
     # samples wider than k neighbors reach; doubling k on the same samples
     # closes it, and a graph that is already connected stays as it is
-    while not np.all(np.isfinite(dists)) and bgraph.k_neighbors < p - 1:
+    labels = connected_components(bgraph.graph)[1]
+    while np.any(labels != labels[bgraph.antipode]) and bgraph.k_neighbors < p - 1:
         k = 2 * bgraph.k_neighbors
         bgraph = replace(
             bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
         )
-        dists = _antipodal_distances(bgraph, candidates)
-    if not np.all(np.isfinite(dists)):
+        labels = connected_components(bgraph.graph)[1]
+    if np.any(labels != labels[bgraph.antipode]):
         raise GraphDisconnected(
             "some antipodal pairs are unreachable; increase k_neighbors"
         )
-    best_source = int(candidates[int(np.argmin(dists))])
-    _, path = shortest_antipodal_path(bgraph, best_source)
+    _, path = shortest_antipodal_path(bgraph, _shortest_antipodal_source(bgraph))
     half = bgraph.samples[path]
 
     # equalize spacing, then descend; both steps keep the curve on-boundary.

@@ -3,7 +3,8 @@
 Runs the capacity estimators over a suite of bodies and checks the headline
 inequalities: the capacity ratio c_EHZ / c_J must be at least 2 + 1/n for
 centrally symmetric bodies and at least 1 + 1/(2n) in general, and symmetric
-bodies additionally get the boundary-curve length check against 4 + 4/d.
+bodies additionally get the boundary-curve length check against 4 + 4/d,
+and ellipsoids a two-sided check of the Clarke value against the closed form.
 Everything the run produces is deterministic in the seed: randomness is
 drawn from per-body streams derived from (seed, body index), report rows
 follow input order, and wall-clock times stay out of the reports unless
@@ -14,6 +15,7 @@ body, loop and suite files, the suite and its profiles, the report columns.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
@@ -24,7 +26,7 @@ import numpy as np
 
 from ._util import fmt
 from .capacity import OptimizerConfig, c_j, clarke_minimize, ellipsoid_ehz_exact
-from .errors import SpecParseError
+from .errors import CalibrationError, SpecParseError
 from .geometry import Ellipsoid, body_from_dict
 from .girth import check_schaffer_bound, symmetric_girth
 
@@ -133,6 +135,14 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
         if isinstance(body, Ellipsoid):
             record.exact = ellipsoid_ehz_exact(body).value
+            # a discrete value is an upper bound, and the affine-regular N-gon
+            # in the fastest plane, admissible at every m, takes N tan(pi/N)/pi
+            n_pts = config.points
+            ceiling = record.exact * n_pts * math.tan(math.pi / n_pts) / math.pi
+            if not record.exact * (1 - 1e-9) <= record.clarke <= ceiling * (1 + 1e-4):
+                raise CalibrationError(
+                    f"clarke {record.clarke!r} outside [{record.exact!r}, {ceiling!r}]"
+                )
 
         record.ratio = record.clarke / record.c_j
         record.bound_general = 1.0 + 1.0 / (2.0 * record.n)

@@ -1,15 +1,23 @@
 """Shared generators and independent oracles for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import dijkstra
 
 from symcap.capacity import clarke_edge_norm
 from symcap.errors import NonConvexParameters
 from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
-from symcap.loops import DiscreteLoop, split_closed_at_fractions
+from symcap.girth import (
+    REFINE_POINTS,
+    _neighbor_graph,
+    build_boundary_graph,
+    refine_symmetric_half,
+)
+from symcap.loops import DiscreteLoop, resample_polyline, split_closed_at_fractions
 from symcap.symplectic import SymplecticFrame
 
 
@@ -268,3 +276,51 @@ def fixture_bodies():
         ("poly-v", random_symmetric_polytope(rng, 4, 10)),
         ("poly-h", cube(4).polar().polar()),
     ]
+
+
+def reference_antipodal_distances(bgraph):
+    """d(x, -x) for every x < p/2, one full undirected Dijkstra per source in
+    chunks of 512 (inf where x cannot reach -x): the sweep whose first argmin
+    ``girth._shortest_antipodal_source`` must reproduce."""
+    sources = np.arange(bgraph.size // 2)
+    out = np.empty(len(sources))
+    for start in range(0, len(sources), 512):
+        batch = sources[start : start + 512]
+        dist = dijkstra(bgraph.graph, directed=False, indices=batch)
+        out[start : start + len(batch)] = dist[
+            np.arange(len(batch)), bgraph.antipode[batch]
+        ]
+    return out
+
+
+def reference_symmetric_girth(body, n_samples, k_neighbors, rng):
+    """``symmetric_girth`` from the full sweep: double k until every d(x, -x)
+    is finite, take the first minimal source, trace its path with an
+    undirected search, then resample and refine as the library does.
+    Returns (final k, source, length, loop vertices)."""
+    bgraph = build_boundary_graph(
+        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
+    )
+    dists = reference_antipodal_distances(bgraph)
+    while not np.all(np.isfinite(dists)):
+        k = 2 * bgraph.k_neighbors
+        bgraph = replace(
+            bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
+        )
+        dists = reference_antipodal_distances(bgraph)
+    source = int(np.argmin(dists))
+    target = int(bgraph.antipode[source])
+    _, pred = dijkstra(
+        bgraph.graph, directed=False, indices=source, return_predecessors=True
+    )
+    path = [target]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    half = resample_polyline(
+        bgraph.samples[path[::-1]],
+        lambda e: np.linalg.norm(e, axis=-1),
+        REFINE_POINTS + 1,
+        closed=False,
+    )[:-1]
+    half, half_len = refine_symmetric_half(body, body.boundary_point(half))
+    return bgraph.k_neighbors, source, 2.0 * half_len, np.vstack([half, -half])

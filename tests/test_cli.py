@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from symcap import verify
+from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
 from symcap.cli import main
 from symcap.verify import CSV_COLUMNS
 
@@ -216,6 +218,36 @@ def test_verify_records_per_body_failures(tmp_path, capsys):
     assert report["records"][1]["status"] == "ok"
     lines = (out_dir / "report.csv").read_text().splitlines()
     assert len(lines) == 3  # header plus one row per body, failures included
+
+
+@pytest.mark.parametrize(
+    "factor, code",
+    [
+        (1 - 1e-6, 1),  # no discrete value undercuts the capacity
+        (1.01, 1),  # the admissible regular 48-gon does better
+        (48 * math.tan(math.pi / 48) / math.pi, 0),  # the 48-gon's own value
+    ],
+    ids=["below-exact", "above-polygon", "at-polygon"],
+)
+def test_verify_gates_ellipsoid_clarke_on_both_sides(
+    tmp_path, capsys, monkeypatch, factor, code
+):
+    def clarke_at(body, config):
+        return CapacityResult(ellipsoid_ehz_exact(body).value * factor, "stub")
+
+    monkeypatch.setattr(verify, "clarke_minimize", clarke_at)
+    suite = write_json(
+        tmp_path, "suite.json", {"bodies": [BALL2], "profiles": TINY_PROFILE}
+    )
+    out_dir = tmp_path / "reports"
+    assert run_cli(
+        capsys, ["verify", suite, "--out", str(out_dir), "--profile", "tiny"]
+    )[0] == code
+    status = json.loads((out_dir / "report.json").read_text())["records"][0]["status"]
+    if code:
+        assert status.startswith("error: CalibrationError: clarke ")
+    else:
+        assert status == "ok"
 
 
 def test_verify_empty_suite_writes_header_only(tmp_path, capsys):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from symcap import girth
 from symcap.errors import (
     BodyNotSymmetric,
+    CalibrationError,
     GraphDisconnected,
     InvalidParameter,
     LoopNotOnBoundary,
     LoopNotSymmetric,
 )
-from symcap.geometry import Ellipsoid, ball, cube, lp_ball
+from symcap.geometry import Ellipsoid, ball, cross_polytope, cube, lp_ball
 from symcap.girth import (
     build_boundary_graph,
     check_schaffer_bound,
@@ -27,6 +29,7 @@ from helpers import (
     dense_symmetric_boundary_loop,
     random_symmetric_ellipsoid,
     random_symmetric_polytope,
+    reference_symmetric_girth,
     regular_polygon,
 )
 
@@ -139,6 +142,55 @@ def test_girth_few_samples_skips_antipodal_chord(body, n_samples):
     assert not np.any(cols == bg.antipode[rows])
     length, _ = symmetric_girth(body, n_samples=n_samples)
     assert length >= schaffer_bound(body.dim) - 1e-2
+
+
+@pytest.mark.parametrize(
+    "body, n_samples, k_neighbors",
+    [
+        (ball(2), 64, 1),  # k = 1 and 2 leave gaps: the doubling loop runs
+        (ball(2), 256, 2),
+        (ball(3), 512, 12),  # odd dimension
+        (ball(4), 1024, 12),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, 12),
+        (cube(4), 1024, 12),
+        (cross_polytope(4), 512, 12),
+        (lp_ball(4.0, np.ones(4)), 512, 12),
+    ],
+    ids=["ball2-k1", "ball2-k2", "ball3", "ball4", "e12", "cube4", "cross4", "l4"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_girth_source_is_the_full_sweep_argmin(
+    monkeypatch, body, n_samples, k_neighbors, seed
+):
+    # the cut-off search must pick the source a full Dijkstra from every
+    # sample picks, on a graph with the same neighbor count, so that the
+    # girth comes out bit for bit the same
+    chosen = []
+    search = girth._shortest_antipodal_source
+
+    def spy(bgraph):
+        chosen.append((bgraph.k_neighbors, search(bgraph)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(girth, "_shortest_antipodal_source", spy)
+    length, loop = symmetric_girth(body, n_samples, k_neighbors, rng=seed)
+    ref_k, ref_source, ref_length, ref_vertices = reference_symmetric_girth(
+        body, n_samples, k_neighbors, seed
+    )
+    assert chosen == [(ref_k, ref_source)]
+    assert length.hex() == ref_length.hex()
+    vertices = loop.vertices if isinstance(loop, DiscreteLoop) else loop
+    assert np.array_equal(vertices, ref_vertices)
+    if k_neighbors < 3:
+        assert ref_k > k_neighbors
+
+
+# FOUND in CHANGES.md: `refine_symmetric_half` can push a 2-d girth below
+# Schaffer's bound on coarse graphs; mending the refinement flips this test
+@pytest.mark.xfail(strict=True, raises=CalibrationError)
+def test_girth_coarse_planar_graph_meets_the_bound():
+    length, _ = symmetric_girth(ball(2), n_samples=8, rng=2)
+    assert length >= schaffer_bound(2) - 1e-2
 
 
 def test_girth_odd_dimension():
