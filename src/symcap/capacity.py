@@ -309,10 +309,9 @@ def symmetry_order(body: ConvexBody, config: OptimizerConfig) -> int:
     ``OptimizerConfig``).  A minimal closed characteristic on a body that W
     maps onto itself is W-invariant, so the continuum minimum is kept."""
     if config.symmetric:
-        if config.points % 4 == 0 and body.is_j_invariant:
-            return 4
-        if config.points % 2 == 0 and body.is_symmetric:
-            return 2
+        for m in (4, 2):
+            if config.points % m == 0 and body.is_invariant(m):
+                return m
     return 1
 
 

@@ -9,7 +9,9 @@ Every body K exposes the same small contract:
 * ``gauge_gradient(x)`` gradient (or a deterministic subgradient selection)
 * ``polar()``           the polar body, satisfying h_K = g_{K polar}
 * ``boundary_point(d)`` the boundary point on the ray through d
-* ``is_symmetric``, ``is_j_invariant``  exact tests of K = -K and J K = K
+* ``is_invariant(m)``    whether W = ``root_multiply(m, 1)`` maps K onto itself
+  (W = -I at m = 2, J at m = 4), exact per class up to one tolerance;
+  ``is_symmetric`` is its m = 2 case, K = -K
 
 All evaluation methods are vectorized over leading axes, so ``gauge`` on an
 ``(N, d)`` array returns ``(N,)`` values.
@@ -63,12 +65,7 @@ class ConvexBody:
     def scale(self, s: float) -> "ConvexBody":  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def is_symmetric(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def is_j_invariant(self) -> bool:  # pragma: no cover - abstract
+    def _maps_onto_itself(self, m: int, w) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
     @property
@@ -100,6 +97,28 @@ class ConvexBody:
         """``(support(u), support_point(u))``; bodies override it when the two
         share work."""
         return self.support(u), self.support_point(u)
+
+    def is_invariant(self, m: int) -> bool:
+        """Whether W = ``root_multiply(m, 1)`` maps K onto itself.
+
+        W turns every (q_i, p_i) plane by 2 pi / m: the identity at m = 1, -I
+        at m = 2 (defined in every dimension), J at m = 4.  Each body class
+        answers exactly, up to the one tolerance ``_SYM_TOL``; where W is
+        undefined (odd dimension, m > 2) the answer is False.
+        """
+        if m == 1:
+            return True
+        if m == 2:
+            return self._maps_onto_itself(m, np.negative)
+        if self.dim % 2:
+            return False
+        frame = SymplecticFrame(self.dim // 2)
+        return self._maps_onto_itself(m, lambda x: frame.root_multiply(m, 1, x))
+
+    @property
+    def is_symmetric(self) -> bool:
+        """K = -K, the case m = 2 of ``is_invariant``."""
+        return self.is_invariant(2)
 
     def contains(self, x, tol: float = 0.0):
         return self.gauge(x) <= 1.0 + tol
@@ -223,19 +242,10 @@ class Ellipsoid(ConvexBody):
             raise NonConvexParameters("scale factor must be positive")
         return Ellipsoid(self.matrix / s**2, center=self.center * s)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(np.all(self.center == 0.0))
-
-    @property
-    def is_j_invariant(self) -> bool:
-        # centered, and J M J^T = M, i.e. M commutes with J; both products
-        # are signed copies, so the comparison is exact
-        if self.dim % 2 or not self.is_symmetric:
-            return False
-        frame = SymplecticFrame(self.dim // 2)
-        jmj = frame.apply_j(frame.apply_j(self.matrix).T)
-        return bool(np.array_equal(jmj, self.matrix))
+    def _maps_onto_itself(self, m, w) -> bool:
+        # centered, and W M W^T = M; at m = 2 and 4 both products are signed
+        # copies of M, so there the comparison is exact
+        return not self.center.any() and _close(w(w(self.matrix).T), self.matrix)
 
     @property
     def is_smooth(self) -> bool:
@@ -328,16 +338,12 @@ class LpBall(ConvexBody):
             raise NonConvexParameters("scale factor must be positive")
         return LpBall(self.p, self.weights * s)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    @property
-    def is_j_invariant(self) -> bool:
-        # J swaps each (q_i, p_i) pair up to sign
+    def _maps_onto_itself(self, m, w) -> bool:
+        # beyond -I, W mixes each (q_i, p_i) pair, so the pair needs equal
+        # weights, and then a quarter turn is a signed swap and p = 2 is round
         n = self.dim // 2
-        return self.dim % 2 == 0 and bool(
-            np.array_equal(self.weights[:n], self.weights[n:])
+        return m == 2 or (
+            _close(self.weights[:n], self.weights[n:]) and (m == 4 or self.p == 2)
         )
 
     @property
@@ -489,21 +495,10 @@ class Polytope(ConvexBody):
             return Polytope(vertices=self.vertices * s)
         return Polytope(normals=self.normals, offsets=self.offsets * s)
 
-    def _maps_vertices_onto_themselves(self, image) -> bool:
+    def _maps_onto_itself(self, m, w) -> bool:
         v = self.vertices
-        dist, _ = cKDTree(v).query(image)
+        dist, _ = cKDTree(v).query(w(v))
         return bool(np.max(dist) <= _SYM_TOL * (1.0 + np.abs(v).max()))
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self._maps_vertices_onto_themselves(-self.vertices)
-
-    @property
-    def is_j_invariant(self) -> bool:
-        if self.dim % 2:
-            return False
-        frame = SymplecticFrame(self.dim // 2)
-        return self._maps_vertices_onto_themselves(frame.apply_j(self.vertices))
 
     @property
     def is_smooth(self) -> bool:
@@ -521,6 +516,10 @@ class Polytope(ConvexBody):
                 "offsets": self.offsets.tolist(),
             }
         return {"kind": self.kind, "dim": self.dim, "params": params}
+
+
+def _close(a, b) -> bool:
+    return bool(np.max(np.abs(a - b)) <= _SYM_TOL * (1.0 + np.abs(b).max()))
 
 
 def _dedupe_rows(pts, rel_tol=1e-9):
@@ -599,15 +598,15 @@ def body_from_dict(obj: dict) -> ConvexBody:
         kind = obj["kind"]
         dim = int(obj["dim"])
         params = obj.get("params", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(f"malformed body description: {exc}") from exc
     try:
         body = _body_from_params(kind, params)
-    except (NonConvexParameters, OriginNotInterior) as exc:
-        raise SpecParseError(f"invalid {kind!r} params: {exc}") from exc
-    except SymcapError:
+    except SpecParseError:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except SymcapError as exc:  # no convex body, origin outside, wrong length
+        raise SpecParseError(f"invalid {kind!r} params: {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise SpecParseError(f"malformed {kind!r} params: {exc}") from exc
     if body.dim != dim:
         raise SpecParseError(

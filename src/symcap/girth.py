@@ -43,6 +43,7 @@ from .symplectic import SymplecticFrame
 REFINE_POINTS = 64
 REFINE_ITERATIONS = 400
 SEARCH_CHUNK = 128  # sources per cut-off Dijkstra call: 2 x 128 x p floats
+MAX_SAMPLES = 1 << 16  # boundary samples a caller may ask for
 
 
 def schaffer_bound(dim: int) -> float:
@@ -86,9 +87,10 @@ def build_boundary_graph(
     if k_neighbors < 1:
         raise InvalidParameter("k_neighbors must be at least 1")
     if directions is None:
-        if n_samples < 4 or n_samples % 2 != 0:
+        if not 4 <= n_samples <= MAX_SAMPLES or n_samples % 2 != 0:
             raise InvalidParameter(
-                "n_samples must be an even number >= 4 (antipodal pairing)"
+                f"n_samples must be an even number in [4, {MAX_SAMPLES}] "
+                "(antipodal pairing)"
             )
         rng = as_rng(rng if rng is not None else 0)
         directions = rng.normal(size=(n_samples // 2, body.dim))

@@ -6,7 +6,9 @@ length; each piece, with endpoint gap v, spawns a candidate loop made of its
 m copies under the m-th root of unity (acting diagonally on all coordinate
 planes), chained end to end.  The candidate's action is exactly m times the
 piece's chord-closed action plus a regular m-gon term alpha_m |v|^2, and
-the best candidate always carries at least the original action.
+the best candidate always carries at least the original action.  The norm
+body must be one that the rotation maps onto itself; the one exact check is
+``ConvexBody.is_invariant(m)``.
 
 Central symmetrization is the case m = 2 (``symmetrize_central``): the root
 of unity is -I, the m-gon term vanishes, and the chosen half is doubled
@@ -27,7 +29,6 @@ import numpy as np
 
 from .capacity import clarke_edge_norm
 from .errors import (
-    BodyNotSymmetric,
     BodyNotSymmetricUnderW,
     CalibrationError,
     DegenerateLoop,
@@ -83,15 +84,6 @@ def symmetrize_central(
     return symmetrize_mfold(loop, norm_body, 2)
 
 
-def _w_invariance_defect(body: ConvexBody, frame, m: int, samples: int = 64) -> float:
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(samples, body.dim))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    g = body.gauge(x)
-    gw = body.gauge(frame.root_multiply(m, 1, x))
-    return float(np.max(np.abs(gw - g) / g))
-
-
 def symmetrize_mfold(
     loop: DiscreteLoop, norm_body: ConvexBody, m: int
 ) -> SymmetrizationOutcome:
@@ -112,8 +104,9 @@ def symmetrize_mfold(
     copies, then rescaled to unit action.  For m = 2 and 4 the rotations are
     exact signed permutations, so the output symmetry is exact.
 
-    Even m needs a centrally symmetric norm body, since W^(m/2) = -I; every
-    m needs a norm body invariant under W, screened on sampled directions.
+    The norm body must be one that W = ``root_multiply(m, 1)`` maps onto
+    itself, the one exact check ``ConvexBody.is_invariant(m)``; otherwise
+    ``BodyNotSymmetricUnderW`` (for m = 2: not centrally symmetric).
     """
     if m < 2:
         raise InvalidParameter(f"symmetry order m must be at least 2, got {m}")
@@ -121,16 +114,12 @@ def symmetrize_mfold(
         raise InvalidParameter(
             f"loop has dimension {loop.dim}, norm body has dimension {norm_body.dim}"
         )
-    if m % 2 == 0 and not norm_body.is_symmetric:
-        raise BodyNotSymmetric(
-            f"order-{m} symmetrization needs a centrally symmetric norm body"
+    if not norm_body.is_invariant(m):
+        raise BodyNotSymmetricUnderW(
+            f"order-{m} symmetrization needs a norm body that the order-{m} "
+            "rotation maps onto itself"
         )
     frame = loop.frame
-    defect = _w_invariance_defect(norm_body, frame, m)
-    if defect > 1e-6:
-        raise BodyNotSymmetricUnderW(
-            f"norm body gauge changes by {defect:.2e} under the order-{m} rotation"
-        )
     pre_action = loop.action()
     if pre_action == 0.0:
         raise ZeroAction("cannot symmetrize a loop of zero action")
@@ -219,6 +208,5 @@ def symmetrize_mfold(
         residuals={
             "action_additivity": additivity,
             "symmetry": sym_residual,
-            "w_invariance_defect": defect,
         },
     )

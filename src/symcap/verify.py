@@ -94,13 +94,15 @@ def read_json(path):
         ) from exc
 
 
-def load_suite(path) -> dict:
-    """Parse a suite description, reporting position info on bad JSON."""
-    suite = read_json(path)
+def load_suite(suite) -> dict:
+    """Check a suite description: a dict, or the path of a JSON file."""
+    if not isinstance(suite, dict):
+        suite = read_json(suite)
     if not isinstance(suite, dict) or "bodies" not in suite:
         raise SpecParseError('suite must be an object with a "bodies" list')
-    if not isinstance(suite["bodies"], list):
-        raise SpecParseError('"bodies" must be a list')
+    bodies = suite["bodies"]
+    if not isinstance(bodies, list) or not all(isinstance(e, dict) for e in bodies):
+        raise SpecParseError('"bodies" must be a list of objects')
     return suite
 
 
@@ -215,8 +217,7 @@ def run_verify(
     processed and every inequality margin is at least -tol; any error or
     violated margin gives 1.
     """
-    if not isinstance(suite, dict):
-        suite = load_suite(suite)
+    suite = load_suite(suite)
     own = suite.get("profiles", {})
     if not isinstance(own, dict):
         raise SpecParseError('"profiles" must be an object')

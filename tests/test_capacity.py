@@ -133,7 +133,7 @@ def test_functional_gradient_matches_finite_differences():
         # on a J-invariant body also the reduced objective on the 12 free
         # vertices of a loop with x_(k + 12) = W x_k, W = -I or J; the cube
         # at the first and the last smoothing level
-        orders = (1, 2, 4) if body.is_j_invariant else (1,)
+        orders = (1, 2, 4) if body.is_invariant(4) else (1,)
         exponents = (
             (None,) if body.is_smooth else (SMOOTHING_LEVELS[0], SMOOTHING_LEVELS[-1])
         )

@@ -6,6 +6,7 @@ import pytest
 from symcap import verify
 from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
 from symcap.cli import main
+from symcap.errors import SpecParseError
 from symcap.verify import CSV_COLUMNS
 
 BALL2 = {"id": "ball-d2", "kind": "ellipsoid", "dim": 2, "params": {"radii": [1.0, 1.0]}}
@@ -271,6 +272,15 @@ def test_verify_bad_suite_json_exits_2(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_verify_non_object_body_entry_exits_2(tmp_path, capsys):
+    suite = write_json(tmp_path, "suite.json", {"bodies": [5, BALL2]})
+    code, _, err = run_cli(capsys, ["verify", suite, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert err == 'error: "bodies" must be a list of objects\n'
+    with pytest.raises(SpecParseError, match="list of objects"):
+        verify.run_verify({"bodies": [5, BALL2]}, tmp_path / "r")
+
+
 def test_verify_unknown_profile_exits_2(tmp_path, capsys):
     suite = write_json(tmp_path, "suite.json", {"bodies": []})
     code, _, err = run_cli(
@@ -328,6 +338,7 @@ def test_usage_errors_exit_2(capsys):
         ["flow", "--start", "nan,0", "--tmax", "1"],
         ["flow", "--start", "inf,0", "--tmax", "1"],
         ["capacity", "--points", "1000000000", "--restarts", "1"],
+        ["girth", "--samples", "1000000000"],
     ],
     ids=[
         "too-few-points",
@@ -346,6 +357,7 @@ def test_usage_errors_exit_2(capsys):
         "start-nan",
         "start-inf",
         "too-many-points",
+        "too-many-samples",
     ],
 )
 def test_out_of_range_options_exit_2(tmp_path, capsys, argv):
@@ -398,6 +410,13 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
         {"kind": "ellipsoid", "dim": 2, "params": {"radii": [-1, 1]}},
         {"kind": "lp", "dim": 2, "params": {"p": 0.5, "weights": [1.0, 1.0]}},
         {"kind": "ellipsoid", "dim": 2, "params": {"radii": [1, 1], "center": [5, 0]}},
+        {"kind": "ellipsoid", "dim": 1e400, "params": {"radii": [1, 1]}},
+        {"kind": "ellipsoid", "dim": 2, "params": {"radii": [1, 1], "center": 5}},
+        {
+            "kind": "ellipsoid",
+            "dim": 4,
+            "params": {"radii": [1, 1, 1, 1], "center": [0, 0, 0]},
+        },
     ],
     ids=[
         "radii-not-numbers",
@@ -406,13 +425,16 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
         "negative-radius",
         "p-below-one",
         "origin-outside",
+        "dim-overflows",
+        "center-not-a-list",
+        "center-wrong-length",
     ],
 )
 def test_malformed_body_params_exit_2(tmp_path, capsys, spec):
     body = write_json(tmp_path, "body.json", spec)
     code, _, err = run_cli(capsys, ["cj", body])
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcap.errors import (
     DimensionMismatch,
@@ -260,6 +261,75 @@ def test_body_from_dict_errors():
         body_from_dict({"kind": "ellipsoid", "dim": 2, "params": {}})
     with pytest.raises(SpecParseError):
         body_from_dict([1, 2, 3])
+
+
+# JSON-like values: what json.loads can return, with numbers a file can spell
+# that overflow a float or an int conversion (1e400 parses as inf)
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, 1e308, 5e-324])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
+    | st.sampled_from(["inf", "nan", "1", "2.5"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+VECTORS = st.lists(NUMBERS | st.floats(0.2, 3.0), max_size=6)
+FIELD_VALUES = JSON_VALUES | VECTORS | st.lists(VECTORS, max_size=8)
+VALID_SPECS = [
+    {"kind": "ellipsoid", "dim": 4, "params": {"radii": [1, 2, 1, 2]}},
+    {
+        "kind": "ellipsoid",
+        "dim": 2,
+        "params": {"matrix": [[2, 0], [0, 1]], "center": [0.1, 0]},
+    },
+    {"kind": "lp", "dim": 4, "params": {"p": 4, "weights": [1, 1, 1, 1]}},
+    {"kind": "lp", "dim": 2, "params": {"p": "inf", "weights": [1, 2]}},
+    {
+        "kind": "polytope_v",
+        "dim": 2,
+        "params": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
+    },
+    {
+        "kind": "polytope_h",
+        "dim": 2,
+        "params": {
+            "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+            "offsets": [1, 1, 1, 1],
+        },
+    },
+]
+TOP_FIELDS = ["kind", "dim", "params"]
+PARAM_FIELDS = ["matrix", "radii", "center", "p", "weights"]
+PARAM_FIELDS += ["vertices", "normals", "offsets"]
+
+
+@st.composite
+def edited_specs(draw):
+    """A valid body description with up to two fields set to any value."""
+    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    fields = st.sampled_from(TOP_FIELDS + PARAM_FIELDS)
+    for key, value in draw(st.lists(st.tuples(fields, FIELD_VALUES), max_size=2)):
+        target = spec if key in TOP_FIELDS else spec["params"]
+        if isinstance(target, dict):
+            target[key] = value
+    return spec
+
+
+@settings(deadline=None, max_examples=300)
+@given(spec=edited_specs() | JSON_VALUES)
+@example(spec={"kind": "ellipsoid", "dim": 1e400, "params": {"radii": [1, 1]}})
+@example(spec={"kind": "ellipsoid", "dim": 2, "params": {"radii": [1, 1], "center": 5}})
+@example(spec={"kind": "lp", "dim": 2, "params": {"p": 10**400, "weights": [1, 1]}})
+@example(
+    spec={"kind": "ellipsoid", "dim": 4, "params": {"radii": [1] * 4, "center": [0, 0]}}
+)
+def test_body_from_dict_builds_or_raises_spec_parse_error(spec):
+    # any JSON a body file can hold either builds a body or is a SpecParseError
+    try:
+        body = body_from_dict(spec)
+    except SpecParseError:
+        return
+    assert body.dim == body.to_dict()["dim"]
 
 
 @settings(deadline=None, max_examples=40)

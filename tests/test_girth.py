@@ -14,6 +14,7 @@ from symcap.errors import (
 )
 from symcap.geometry import Ellipsoid, ball, cross_polytope, cube, lp_ball
 from symcap.girth import (
+    MAX_SAMPLES,
     build_boundary_graph,
     check_schaffer_bound,
     refine_symmetric_half,
@@ -67,6 +68,9 @@ def test_boundary_graph_invariants():
         build_boundary_graph(ball(2), n_samples=33)
     with pytest.raises(InvalidParameter):
         build_boundary_graph(ball(2), n_samples=2)
+    # and at most MAX_SAMPLES = 65536
+    with pytest.raises(InvalidParameter, match="65536"):
+        build_boundary_graph(ball(2), n_samples=MAX_SAMPLES + 2)
 
 
 def test_shortest_path_on_circle():

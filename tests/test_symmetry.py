@@ -10,14 +10,10 @@ from symcap.errors import (
     BodyNotSymmetricUnderW,
     ZeroAction,
 )
-from symcap.geometry import Ellipsoid, ball, cube
+from symcap.geometry import Ellipsoid, LpBall, Polytope, ball, cube, lp_ball
 from symcap.loops import DiscreteLoop
 from symcap.capacity import clarke_edge_norm
-from symcap.symmetry import (
-    _w_invariance_defect,
-    symmetrize_central,
-    symmetrize_mfold,
-)
+from symcap.symmetry import symmetrize_central, symmetrize_mfold
 from symcap.symplectic import SymplecticFrame
 
 from helpers import (
@@ -185,19 +181,63 @@ def test_mfold_never_lengthens_with_cube_norm():
             )
 
 
-def test_w_invariance_defect_screen():
+def hexagon_product():
+    """The product of regular hexagons in the (q_1, p_1) and (q_2, p_2)
+    planes, with vertices at multiples of 60 degrees in each."""
+    t = np.pi / 3 * np.arange(6)
+    a, b = np.meshgrid(t, t, indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    vertices = np.column_stack([np.cos(a), np.cos(b), np.sin(a), np.sin(b)])
+    return Polytope(vertices=vertices)
+
+
+ORDERS = (1, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize(
+    "body,invariant_orders",
+    [
+        (ball(3), (1, 2)),  # odd dimension: W undefined beyond -I
+        # per-plane round, cross-plane anisotropic: every m
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), ORDERS + (5, 7)),
+        # anisotropic within a plane: the half turn only
+        (Ellipsoid.from_radii([1.0, 1.0, 2.0, 2.0]), (1, 2)),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]), (1,)),
+        (ball(4), ORDERS + (7,)),
+        (lp_ball(4.0, np.ones(4)), (1, 2, 4)),
+        (LpBall(2.0, [1.0, 2.0, 1.0, 2.0]), ORDERS),
+        (LpBall(2.0, [1.0, 1.0, 2.0, 2.0]), (1, 2)),
+        (cube(4), (1, 2, 4)),
+        (hexagon_product(), (1, 2, 3, 6)),
+    ],
+    ids=[
+        "ball3",
+        "ellipsoid-1-2-1-2",
+        "ellipsoid-1-1-2-2",
+        "shifted-ellipsoid-1-2",
+        "ball4",
+        "l4ball",
+        "l2-paired",
+        "l2-unpaired",
+        "cube4",
+        "hexagon-product",
+    ],
+)
+def test_is_invariant_per_class(body, invariant_orders):
+    for m in sorted(set(ORDERS) | set(invariant_orders)):
+        assert body.is_invariant(m) == (m in invariant_orders), m
+    assert body.is_symmetric == body.is_invariant(2)
+
+
+def test_mfold_on_hexagon_product_needs_w_invariance():
+    rng = np.random.default_rng(6)
     frame = SymplecticFrame(2)
-    assert _w_invariance_defect(ball(4), frame, 7) <= 1e-12
-    assert _w_invariance_defect(cube(4), frame, 4) <= 1e-12
-    assert _w_invariance_defect(cube(4), frame, 3) > 1e-3
-    # per-plane round, cross-plane anisotropic: fine for any m
-    assert _w_invariance_defect(
-        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), frame, 5
-    ) <= 1e-12
-    # anisotropic within a plane: m = 2 only
-    plane_aniso = Ellipsoid.from_radii([1.0, 1.0, 2.0, 2.0])
-    assert _w_invariance_defect(plane_aniso, frame, 2) <= 1e-12
-    assert _w_invariance_defect(plane_aniso, frame, 3) > 1e-3
+    loop = nonzero_action_loop(rng, frame, n_pts=24)
+    hexagons = hexagon_product()
+    out = symmetrize_mfold(loop, hexagons, 3)
+    assert set(out.residuals) == {"action_additivity", "symmetry"}
+    with pytest.raises(BodyNotSymmetricUnderW):
+        symmetrize_mfold(loop, hexagons, 4)
 
 
 def test_error_taxonomy():
