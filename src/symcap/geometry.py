@@ -36,6 +36,14 @@ from .symplectic import SymplecticFrame
 _SYM_TOL = 1e-9
 
 
+def _finite(name, values) -> np.ndarray:
+    """``values`` as a float array; NonConvexParameters unless all finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonConvexParameters(f"{name} must be finite")
+    return values
+
+
 class ConvexBody:
     """Common behavior for all body kinds; not instantiated directly."""
 
@@ -145,7 +153,7 @@ class Ellipsoid(ConvexBody):
     kind = "ellipsoid"
 
     def __init__(self, matrix, center=None):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _finite("ellipsoid matrix", matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise NonConvexParameters(f"matrix must be square, got {matrix.shape}")
         super().__init__(matrix.shape[0])
@@ -156,9 +164,8 @@ class Ellipsoid(ConvexBody):
             np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError:
             raise NonConvexParameters("ellipsoid matrix must be positive definite")
-        self.center = (
-            np.zeros(self.dim) if center is None else self._check_vec(center).copy()
-        )
+        center = np.zeros(self.dim) if center is None else self._check_vec(center)
+        self.center = _finite("ellipsoid center", center).copy()
         self._e = float(self.center @ self.matrix @ self.center)
         if self._e >= 1.0:
             raise OriginNotInterior(
@@ -172,7 +179,7 @@ class Ellipsoid(ConvexBody):
     @classmethod
     def from_radii(cls, radii, center=None) -> "Ellipsoid":
         """Axis-aligned ellipsoid with the given semi-axis per coordinate."""
-        radii = np.asarray(radii, dtype=float)
+        radii = _finite("semi-axes", radii)
         if np.any(radii <= 0):
             raise NonConvexParameters("semi-axes must be positive")
         return cls(np.diag(1.0 / radii**2), center=center)
@@ -271,7 +278,7 @@ class LpBall(ConvexBody):
     kind = "lp"
 
     def __init__(self, p: float, weights):
-        weights = np.asarray(weights, dtype=float)
+        weights = _finite("weights", weights)
         super().__init__(weights.shape[-1])
         if weights.ndim != 1 or np.any(weights <= 0):
             raise NonConvexParameters("weights must be a vector of positive numbers")
@@ -372,15 +379,15 @@ class Polytope(ConvexBody):
 
     def __init__(self, vertices=None, normals=None, offsets=None):
         if vertices is not None and normals is None:
-            vertices = np.asarray(vertices, dtype=float)
+            vertices = _finite("vertices", vertices)
             if vertices.ndim != 2:
                 raise NonConvexParameters("vertices must be a 2d array")
             super().__init__(vertices.shape[1])
             self.kind = "polytope_v"
             self._build_from_vertices(vertices)
         elif normals is not None and vertices is None:
-            normals = np.asarray(normals, dtype=float)
-            offsets = np.asarray(offsets, dtype=float)
+            normals = _finite("normals", normals)
+            offsets = _finite("offsets", offsets)
             if normals.ndim != 2 or offsets.shape != (normals.shape[0],):
                 raise NonConvexParameters("normals/offsets shapes do not match")
             super().__init__(normals.shape[1])

@@ -5,10 +5,11 @@ body in its own norm) is approached from above in two stages: a k-nearest
 neighbor graph over antipodally paired boundary samples supplies globally
 reasonable half-curves from a point to its antipode, and a projected,
 strictly monotone local descent tightens the half while keeping every vertex
-on the boundary.  The graph search meets in the middle: the antipodal map is
-an isometry of the graph, so d(x, -x) is read from one Dijkstra search from
-x cut off at about half that distance.  The curve is stored as one half plus
-its reflection, so central symmetry is exact by construction.
+on the boundary.  The graph search starts from the band of samples on edges
+that cross x0 = 0, which every antipodal path passes, and reads d(x, -x)
+from Dijkstra searches cut off at about half of it, where the searches from
+x and -x meet.  The curve is stored as one half plus its reflection, so
+central symmetry is exact by construction.
 
 ``check_schaffer_bound`` reports the margin of a symmetric boundary loop
 against the guaranteed lower bound 4 + 4/d (even dimension; 4 + 4/(d-1) in
@@ -42,7 +43,10 @@ from .symplectic import SymplecticFrame
 # vertices of the refined half-curve, and the projected descent's step budget
 REFINE_POINTS = 64
 REFINE_ITERATIONS = 400
-SEARCH_CHUNK = 128  # sources per cut-off Dijkstra call: 2 x 128 x p floats
+SEARCH_CHUNK = 128  # sources per Dijkstra call: 2 x 128 x p floats
+# relative slack of the band search's proof steps: far above the 1e-9 tie
+# rule plus rounding, so that no minimizer falls outside them
+BAND_SLACK = 1e-6
 MAX_SAMPLES = 1 << 16  # boundary samples a caller may ask for
 
 
@@ -149,31 +153,65 @@ def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
     return float(dist[target]), path
 
 
-def _shortest_antipodal_source(bgraph: BoundaryGraph) -> int:
-    """First sample x < p/2 of minimal graph distance d(x, -x).
+def _band_sources(bgraph: BoundaryGraph) -> np.ndarray:
+    """Pair indices (mod p/2) of the band: the samples in S with a neighbor
+    outside S.  S = {x0 > 0} plus the samples at x0 = 0 of index below p/2,
+    so it holds exactly one sample of each antipodal pair."""
+    p = bgraph.size
+    x0 = bgraph.samples[:, 0]
+    inside = (x0 > 0) | ((x0 == 0) & (np.arange(p) < p // 2))
+    edges = bgraph.graph.tocoo()
+    return np.unique(edges.row[inside[edges.row] & ~inside[edges.col]] % (p // 2))
 
-    The antipodal map is an isometry of the graph, so a shortest x -> -x
-    path of length D, with edges at most w_max long, passes a vertex y with
-    d(x, y) and d(x, -y) = d(-x, y) both at most (D + w_max)/2.  Hence
-    D = min_y [d(x, y) + d(x, -y)] over one search from x cut off at that
-    radius, with D no larger than the best distance found so far.  A cut-off
-    row never underestimates D, and the sources within 1e-9 relative of the
-    least such meet value get a full search that picks the minimum exactly.
+
+def _meet_values(graph, antipode, sources, best) -> np.ndarray:
+    """min_y d(x, y) + d(x, -y) for each source x: never below D = d(x, -x).
+
+    A shortest x -> -x path passes a y with d(x, y) and d(x, -y) = d(-x, y)
+    both at most (D + w_max)/2, w_max the longest edge, so rows cut off there
+    with ``best`` >= D, lowered as they come in, meet D whenever D <= best.
     """
-    graph, antipode = bgraph.graph, bgraph.antipode
-    sources = np.arange(bgraph.size // 2)
     w_max = float(graph.data.max())
-    best = float(dijkstra(graph, indices=0)[antipode[0]])
     meet = np.empty(len(sources))
     for start in range(0, len(sources), SEARCH_CHUNK):
-        batch = sources[start : start + SEARCH_CHUNK]
+        rows = slice(start, start + SEARCH_CHUNK)
         radius = 0.5 * (best + w_max) * (1 + 1e-9)
-        dist = dijkstra(graph, indices=batch, limit=radius)
+        dist = dijkstra(graph, indices=sources[rows], limit=radius)
         pair = dist[:, antipode]
         pair += dist
-        meet[batch] = pair.min(axis=1)
-        best = min(best, float(meet[batch].min()))
-    ties = sources[meet <= meet.min() * (1 + 1e-9)]
+        meet[rows] = pair.min(axis=1)
+        best = min(best, float(meet[rows].min()))
+    return meet
+
+
+def _shortest_antipodal_source(bgraph: BoundaryGraph) -> int:
+    """First sample x < p/2 of minimal graph distance D(x) = d(x, -x).
+
+    Lemma: S (see ``_band_sources``) is odd, so a shortest path P from x to
+    -x has an edge (u, w) with u in S and w not, u in the band.  Both arcs
+    from u to -u of the closed walk P + (-P) have length D(x): D(u) <= D(x)
+    and d(u, x) + d(u, -x) <= D(x).  So cut-off rows over the band find the
+    least D, full rows from the band sources within BAND_SLACK of it mark
+    every minimizer as a candidate, and the candidates within 1e-9 relative
+    of the least meet value get a full search for the first exact minimum.
+    """
+    graph, antipode = bgraph.graph, bgraph.antipode
+    band = _band_sources(bgraph)
+    best = float(dijkstra(graph, indices=band[0])[antipode[band[0]]])
+    meet = _meet_values(graph, antipode, band, best)
+    near = band[meet <= meet.min() * (1 + BAND_SLACK)]
+    candidates = []
+    for start in range(0, len(near), SEARCH_CHUNK):
+        batch = near[start : start + SEARCH_CHUNK]
+        dist = dijkstra(graph, indices=batch)
+        reach = dist[np.arange(len(batch)), antipode[batch]]
+        pair = dist[:, antipode]
+        pair += dist
+        candidates.append(np.nonzero(pair <= reach[:, None] * (1 + BAND_SLACK))[1])
+        best = min(best, float(reach.min()))
+    candidates = np.unique(np.concatenate(candidates) % (bgraph.size // 2))
+    meet = _meet_values(graph, antipode, candidates, best)
+    ties = candidates[meet <= meet.min() * (1 + 1e-9)]
     exact = dijkstra(graph, indices=ties)[np.arange(len(ties)), antipode[ties]]
     return int(ties[np.argmin(exact)])
 

@@ -9,7 +9,6 @@ from its start.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,18 +176,6 @@ def split_closed_at_fractions(vertices, norm_fn, pieces):
         step = np.linalg.norm(np.diff(path, axis=0), axis=1)
         paths.append(path[np.concatenate([[True], step > tol])])
     return paths
-
-
-def resample_by_gauge_arclength(loop: DiscreteLoop, body: ConvexBody, count: int):
-    """Resample a loop at equal gauge-arclength spacing, keeping vertex 0.
-
-    Total gauge length and action are preserved exactly up to rounding,
-    because inserted vertices are collinear with the edges they subdivide.
-    """
-    if count < 3:
-        raise TooFewVertices(f"need at least 3 output vertices, got {count}")
-    out = resample_polyline(loop.vertices, body.gauge, count, closed=True)
-    return DiscreteLoop(loop.frame, out)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +395,3 @@ def _equalization_newton(pts, body, t0, max_iter=10):
         else:
             break
     return t
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def export_loop_metrics(loops, body: ConvexBody, path):
-    """Write one CSV row per loop with its basic metrics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "n_vertices", "gauge_length", "action", "containment_score"]
-        )
-        for i, loop in enumerate(loops):
-            row = [
-                i,
-                len(loop),
-                format(gauge_length(loop, body), ".12g"),
-                format(loop.action(), ".12g"),
-                format(containment_score(loop, body), ".12g"),
-            ]
-            writer.writerow(row)

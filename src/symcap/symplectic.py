@@ -57,13 +57,6 @@ class SymplecticFrame:
         y = self._check(y)
         return np.sum(self.apply_j(x) * y, axis=-1)
 
-    def plane_project(self, x, j: int) -> np.ndarray:
-        """The (q_j, p_j) pair of coordinates, 0-based, shape (..., 2)."""
-        x = self._check(x)
-        if not 0 <= j < self.n:
-            raise DimensionMismatch(f"plane index {j} out of range for n={self.n}")
-        return np.stack([x[..., j], x[..., self.n + j]], axis=-1)
-
     def root_multiply(self, m: int, k: int, x) -> np.ndarray:
         """Multiply by the m-th root of unity w^k = exp(2*pi*i*k/m).
 

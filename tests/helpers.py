@@ -293,13 +293,14 @@ def reference_antipodal_distances(bgraph):
     return out
 
 
-def reference_symmetric_girth(body, n_samples, k_neighbors, rng):
+def reference_symmetric_girth(body, n_samples, k_neighbors, rng, directions=None):
     """``symmetric_girth`` from the full sweep: double k until every d(x, -x)
     is finite, take the first minimal source, trace its path with an
     undirected search, then resample and refine as the library does.
     Returns (final k, source, length, loop vertices)."""
     bgraph = build_boundary_graph(
-        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
+        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng,
+        directions=directions,
     )
     dists = reference_antipodal_distances(bgraph)
     while not np.all(np.isfinite(dists)):

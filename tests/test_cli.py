@@ -417,6 +417,19 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
             "dim": 4,
             "params": {"radii": [1, 1, 1, 1], "center": [0, 0, 0]},
         },
+        # non-finite numbers, which JSON files may spell NaN and Infinity
+        {
+            "kind": "ellipsoid",
+            "dim": 2,
+            "params": {"radii": [1, 1], "center": [math.nan, 0]},
+        },
+        {"kind": "ellipsoid", "dim": 2, "params": {"matrix": [[math.inf, 0], [0, 1]]}},
+        {"kind": "lp", "dim": 2, "params": {"p": 4, "weights": [math.inf, 1]}},
+        {
+            "kind": "polytope_v",
+            "dim": 2,
+            "params": {"vertices": [[1, 0], [0, math.nan], [-1, -1]]},
+        },
     ],
     ids=[
         "radii-not-numbers",
@@ -428,6 +441,10 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
         "dim-overflows",
         "center-not-a-list",
         "center-wrong-length",
+        "center-nan",
+        "matrix-infinite",
+        "weight-infinite",
+        "vertex-nan",
     ],
 )
 def test_malformed_body_params_exit_2(tmp_path, capsys, spec):

@@ -323,13 +323,24 @@ def edited_specs(draw):
 @example(
     spec={"kind": "ellipsoid", "dim": 4, "params": {"radii": [1] * 4, "center": [0, 0]}}
 )
+@example(
+    spec={
+        "kind": "ellipsoid",
+        "dim": 2,
+        "params": {"radii": [1, 1], "center": [np.nan, 0]},
+    }
+)
 def test_body_from_dict_builds_or_raises_spec_parse_error(spec):
-    # any JSON a body file can hold either builds a body or is a SpecParseError
+    # any JSON a body file can hold either builds a body or is a SpecParseError,
+    # and a body it builds has a finite, positive gauge on every +-e_i
     try:
         body = body_from_dict(spec)
     except SpecParseError:
         return
     assert body.dim == body.to_dict()["dim"]
+    axes = np.vstack([np.eye(body.dim), -np.eye(body.dim)])
+    gauges = body.gauge(axes)
+    assert np.all(np.isfinite(gauges)) and np.all(gauges > 0), gauges
 
 
 @settings(deadline=None, max_examples=40)

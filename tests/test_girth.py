@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from symcap.errors import (
     LoopNotOnBoundary,
     LoopNotSymmetric,
 )
-from symcap.geometry import Ellipsoid, ball, cross_polytope, cube, lp_ball
+from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
 from symcap.girth import (
     MAX_SAMPLES,
     build_boundary_graph,
@@ -30,6 +32,7 @@ from helpers import (
     dense_symmetric_boundary_loop,
     random_symmetric_ellipsoid,
     random_symmetric_polytope,
+    reference_antipodal_distances,
     reference_symmetric_girth,
     regular_polygon,
 )
@@ -148,25 +151,59 @@ def test_girth_few_samples_skips_antipodal_chord(body, n_samples):
     assert length >= schaffer_bound(body.dim) - 1e-2
 
 
+def grid_directions(dim, n_random, seed):
+    """One of each +-pair of nonzero vectors in {-1, 0, 1}^dim, a third of
+    them with x0 exactly 0, followed by n_random Gaussian directions."""
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=dim)))
+    leading = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    random = np.random.default_rng(seed).normal(size=(n_random, dim))
+    return np.vstack([grid[leading > 0], random])
+
+
+def hexagon_bipyramid():
+    """The bipyramid over the regular hexagon in x0 = 0 with apexes +-e0.
+
+    Its hexagon is a shortest symmetric closed curve: own-norm length 6,
+    Schaffer's bound in R^3."""
+    t = np.arange(6) * np.pi / 3
+    hexagon = np.stack([np.zeros(6), np.cos(t), np.sin(t)], axis=1)
+    return Polytope(vertices=np.vstack([hexagon, np.eye(3)[:1], -np.eye(3)[:1]]))
+
+
+def equator_directions(n_equator, n_random, seed):
+    """n_equator directions with x0 exactly 0, then n_random Gaussian ones."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, np.pi, n_equator)
+    equator = np.stack([np.zeros(n_equator), np.cos(t), np.sin(t)], axis=1)
+    return np.vstack([equator, rng.normal(size=(n_random, 3))])
+
+
 @pytest.mark.parametrize(
-    "body, n_samples, k_neighbors",
+    "body, n_samples, k_neighbors, directions",
     [
-        (ball(2), 64, 1),  # k = 1 and 2 leave gaps: the doubling loop runs
-        (ball(2), 256, 2),
-        (ball(3), 512, 12),  # odd dimension
-        (ball(4), 1024, 12),
-        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, 12),
-        (cube(4), 1024, 12),
-        (cross_polytope(4), 512, 12),
-        (lp_ball(4.0, np.ones(4)), 512, 12),
+        (ball(2), 64, 1, None),  # k = 1 and 2 leave gaps: the doubling loop runs
+        (ball(2), 256, 2, None),
+        (ball(3), 512, 12, None),  # odd dimension
+        (ball(4), 1024, 12, None),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, 12, None),
+        (Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]), 1024, 12, None),
+        (cube(4), 1024, 12, None),
+        (cross_polytope(4), 512, 12, None),
+        (lp_ball(4.0, np.ones(4)), 512, 12, None),
+        # samples with x0 = 0 exactly, which the band splits by index
+        (ball(4), None, 12, grid_directions(4, 40, 0)),
+        (cube(4), None, 12, grid_directions(4, 160, 0)),
     ],
-    ids=["ball2-k1", "ball2-k2", "ball3", "ball4", "e12", "cube4", "cross4", "l4"],
+    ids=[
+        "ball2-k1", "ball2-k2", "ball3", "ball4", "e12", "e6", "cube4", "cross4",
+        "l4", "ball4-grid", "cube4-grid",
+    ],
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_girth_source_is_the_full_sweep_argmin(
-    monkeypatch, body, n_samples, k_neighbors, seed
+    monkeypatch, body, n_samples, k_neighbors, directions, seed
 ):
-    # the cut-off search must pick the source a full Dijkstra from every
+    # the band search must pick the source a full Dijkstra from every
     # sample picks, on a graph with the same neighbor count, so that the
     # girth comes out bit for bit the same
     chosen = []
@@ -177,9 +214,13 @@ def test_girth_source_is_the_full_sweep_argmin(
         return chosen[-1][1]
 
     monkeypatch.setattr(girth, "_shortest_antipodal_source", spy)
+    monkeypatch.setattr(
+        girth, "build_boundary_graph",
+        partial(build_boundary_graph, directions=directions),
+    )
     length, loop = symmetric_girth(body, n_samples, k_neighbors, rng=seed)
     ref_k, ref_source, ref_length, ref_vertices = reference_symmetric_girth(
-        body, n_samples, k_neighbors, seed
+        body, n_samples, k_neighbors, seed, directions
     )
     assert chosen == [(ref_k, ref_source)]
     assert length.hex() == ref_length.hex()
@@ -187,6 +228,33 @@ def test_girth_source_is_the_full_sweep_argmin(
     assert np.array_equal(vertices, ref_vertices)
     if k_neighbors < 3:
         assert ref_k > k_neighbors
+
+
+@pytest.mark.parametrize(
+    "body, n_samples, directions",
+    [
+        (ball(2), 512, None),
+        (ball(4), 1024, None),
+        (Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]), 1024, None),
+        (cube(4), 1024, None),
+        (lp_ball(4.0, np.ones(4)), 1024, None),
+        (ball(4), None, grid_directions(4, 200, 3)),
+        # every shortest pair lies on the hexagon, at x0 = 0
+        (hexagon_bipyramid(), None, equator_directions(120, 150, 0)),
+    ],
+    ids=["ball2", "ball4", "e6", "cube4", "l4", "ball4-grid", "bipyramid"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_girth_band_holds_a_shortest_antipodal_pair(body, n_samples, directions, seed):
+    # every x -> -x path leaves {x0 > 0} through a band sample u, and
+    # d(u, -u) is at most the path's length
+    bg = build_boundary_graph(
+        body, n_samples=n_samples, rng=seed, directions=directions
+    )
+    band = girth._band_sources(bg)
+    dists = reference_antipodal_distances(bg)
+    assert len(band) < bg.size // 2
+    assert dists[band].min() == pytest.approx(dists.min(), rel=1e-12, abs=0)
 
 
 # FOUND in CHANGES.md: `refine_symmetric_half` can push a 2-d girth below

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -15,9 +14,7 @@ from symcap.geometry import Ellipsoid, ball, cube, lp_ball
 from symcap.loops import (
     DiscreteLoop,
     containment_score,
-    export_loop_metrics,
     gauge_length,
-    resample_by_gauge_arclength,
     resample_polyline,
     split_closed_at_fractions,
 )
@@ -121,7 +118,9 @@ def test_resample_recovers_corners_and_preserves_metrics():
         frame, np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     )
     body = ball(2)
-    fine = resample_by_gauge_arclength(square, body, 64)
+    fine = DiscreteLoop(
+        frame, resample_polyline(square.vertices, body.gauge, 64, closed=True)
+    )
     assert len(fine) == 64
     # corners sit at multiples of the quarter length, so they are all kept
     for corner in square.vertices:
@@ -132,8 +131,6 @@ def test_resample_recovers_corners_and_preserves_metrics():
     )
     assert fine.action() == pytest.approx(square.action(), rel=1e-9)
     assert np.allclose(fine.vertices[0], square.vertices[0])
-    with pytest.raises(TooFewVertices):
-        resample_by_gauge_arclength(square, body, 2)
 
 
 def test_resample_random_loop_preserves_length_within_refinement():
@@ -142,7 +139,9 @@ def test_resample_random_loop_preserves_length_within_refinement():
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
     loop = DiscreteLoop(frame, fourier_loop(rng, frame, n_pts=32))
     base = gauge_length(loop, body)
-    fine = resample_by_gauge_arclength(loop, body, 480)
+    fine = DiscreteLoop(
+        frame, resample_polyline(loop.vertices, body.gauge, 480, closed=True)
+    )
     # resampling can only cut corners, so the length never grows
     val = gauge_length(fine.normalize(), body)
     assert val <= base + 1e-9
@@ -281,20 +280,6 @@ def test_sigma_normalized_loops_meet_general_length_bound():
         length = gauge_length(normalized, body)
         d = frame.dim
         assert length >= 2 + 2 / d - 1e-6, (body, length)
-
-
-def test_export_loop_metrics(tmp_path):
-    frame = SymplecticFrame(1)
-    loops = [circle_loop(16), circle_loop(32, radius=2.0)]
-    out = tmp_path / "metrics.csv"
-    export_loop_metrics(loops, ball(2), out)
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "n_vertices", "gauge_length", "action",
-                       "containment_score"]
-    assert len(rows) == 3
-    assert int(rows[1][1]) == 16
-    assert float(rows[2][4]) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_loop_json_round_trip():

@@ -94,8 +94,8 @@ def test_action_matches_shoelace_in_each_plane():
     frame = SymplecticFrame(2)
     rng = np.random.default_rng(5)
     verts = rng.normal(size=(30, 4))
-    planar = frame.plane_project(verts, 0)
-    other = frame.plane_project(verts, 1)
+    planar = verts[:, [0, 2]]  # (q_1, p_1)
+    other = verts[:, [1, 3]]  # (q_2, p_2)
     expected = shoelace_area(planar) + shoelace_area(other)
     assert frame.polygon_action(verts) == pytest.approx(expected, rel=1e-12)
 
@@ -146,8 +146,6 @@ def test_errors():
         frame.polygon_action(np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
         frame.omega(np.ones(3), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        frame.plane_project(np.ones(4), 2)
     with pytest.raises(DimensionMismatch):
         SymplecticFrame(0)
     with pytest.raises(ValueError):
