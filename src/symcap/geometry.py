@@ -282,6 +282,9 @@ class LpBall(ConvexBody):
         super().__init__(weights.shape[-1])
         if weights.ndim != 1 or np.any(weights <= 0):
             raise NonConvexParameters("weights must be a vector of positive numbers")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(1.0 / weights)):  # the polar's weights
+                raise NonConvexParameters("weights must have finite reciprocals")
         if not (1.0 < p < np.inf):
             raise NonConvexParameters(
                 f"LpBall requires 1 < p < inf, got p={p}; use lp_ball for 1 and inf"
@@ -411,7 +414,8 @@ class Polytope(ConvexBody):
         try:
             hull = ConvexHull(vertices)
         except QhullError as exc:
-            raise NonConvexParameters(f"degenerate vertex set: {exc}") from exc
+            reason = str(exc).partition("\n")[0]  # Qhull appends its whole report
+            raise NonConvexParameters(f"degenerate vertex set: {reason}") from exc
         self.vertices = vertices[hull.vertices]
         # Qhull equations are [A | d] with A x + d <= 0
         eq = hull.equations
@@ -439,8 +443,9 @@ class Polytope(ConvexBody):
             pts = _dedupe_rows(pts)
             hull = ConvexHull(pts)
         except QhullError as exc:
+            reason = str(exc).partition("\n")[0]
             raise NonConvexParameters(
-                f"halfspaces do not bound a full-dimensional polytope: {exc}"
+                f"halfspaces do not bound a full-dimensional polytope: {reason}"
             ) from exc
         self.vertices = pts[hull.vertices]
 

@@ -5,11 +5,12 @@ body in its own norm) is approached from above in two stages: a k-nearest
 neighbor graph over antipodally paired boundary samples supplies globally
 reasonable half-curves from a point to its antipode, and a projected,
 strictly monotone local descent tightens the half while keeping every vertex
-on the boundary.  The graph search starts from the band of samples on edges
-that cross x0 = 0, which every antipodal path passes, and reads d(x, -x)
-from Dijkstra searches cut off at about half of it, where the searches from
-x and -x meet.  The curve is stored as one half plus its reflection, so
-central symmetry is exact by construction.
+on the boundary.  The half-curve starts at a sample x of least graph
+distance d(x, -x), any one of them: the band of samples on edges that cross
+x0 = 0, which every antipodal path passes, holds such an x, and Dijkstra
+searches from the band cut off at about half of d(x, -x), where the
+searches from x and -x meet, find it.  The curve is stored as one half plus
+its reflection, so central symmetry is exact by construction.
 
 ``check_schaffer_bound`` reports the margin of a symmetric boundary loop
 against the guaranteed lower bound 4 + 4/d (even dimension; 4 + 4/(d-1) in
@@ -44,9 +45,6 @@ from .symplectic import SymplecticFrame
 REFINE_POINTS = 64
 REFINE_ITERATIONS = 400
 SEARCH_CHUNK = 128  # sources per Dijkstra call: 2 x 128 x p floats
-# relative slack of the band search's proof steps: far above the 1e-9 tie
-# rule plus rounding, so that no minimizer falls outside them
-BAND_SLACK = 1e-6
 MAX_SAMPLES = 1 << 16  # boundary samples a caller may ask for
 
 
@@ -130,6 +128,10 @@ def _neighbor_graph(body, samples, k_neighbors) -> csr_matrix:
     rows, cols = rows[keep], cols[keep]
     weights = body.gauge(samples[cols] - samples[rows])
     graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
+    # with the antipodal image of every edge, x -> -x maps the graph onto
+    # itself even where neighbor distances tie, so d(x, -y) = d(-x, y)
+    rows, cols = (rows + p // 2) % p, (cols + p // 2) % p
+    graph = graph.maximum(csr_matrix((weights, (rows, cols)), shape=(p, p)))
     return graph.maximum(graph.T)  # symmetrize the neighbor relation
 
 
@@ -185,35 +187,20 @@ def _meet_values(graph, antipode, sources, best) -> np.ndarray:
 
 
 def _shortest_antipodal_source(bgraph: BoundaryGraph) -> int:
-    """First sample x < p/2 of minimal graph distance D(x) = d(x, -x).
+    """A sample x < p/2 of minimal graph distance D(x) = d(x, -x).
 
     Lemma: S (see ``_band_sources``) is odd, so a shortest path P from x to
     -x has an edge (u, w) with u in S and w not, u in the band.  Both arcs
     from u to -u of the closed walk P + (-P) have length D(x): D(u) <= D(x)
-    and d(u, x) + d(u, -x) <= D(x).  So cut-off rows over the band find the
-    least D, full rows from the band sources within BAND_SLACK of it mark
-    every minimizer as a candidate, and the candidates within 1e-9 relative
-    of the least meet value get a full search for the first exact minimum.
+    and d(u, x) + d(u, -x) <= D(x).  So the band holds a minimizer, whose
+    cut-off row reads its D exactly, and no meet value is below its source's
+    D: the band source of least meet value is a minimizer.  Which one, on a
+    graph with several, is left to rounding.
     """
     graph, antipode = bgraph.graph, bgraph.antipode
     band = _band_sources(bgraph)
     best = float(dijkstra(graph, indices=band[0])[antipode[band[0]]])
-    meet = _meet_values(graph, antipode, band, best)
-    near = band[meet <= meet.min() * (1 + BAND_SLACK)]
-    candidates = []
-    for start in range(0, len(near), SEARCH_CHUNK):
-        batch = near[start : start + SEARCH_CHUNK]
-        dist = dijkstra(graph, indices=batch)
-        reach = dist[np.arange(len(batch)), antipode[batch]]
-        pair = dist[:, antipode]
-        pair += dist
-        candidates.append(np.nonzero(pair <= reach[:, None] * (1 + BAND_SLACK))[1])
-        best = min(best, float(reach.min()))
-    candidates = np.unique(np.concatenate(candidates) % (bgraph.size // 2))
-    meet = _meet_values(graph, antipode, candidates, best)
-    ties = candidates[meet <= meet.min() * (1 + 1e-9)]
-    exact = dijkstra(graph, indices=ties)[np.arange(len(ties)), antipode[ties]]
-    return int(ties[np.argmin(exact)])
+    return int(band[np.argmin(_meet_values(graph, antipode, band, best))])
 
 
 def _half_length_and_grad(body, half):

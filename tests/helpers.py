@@ -280,8 +280,8 @@ def fixture_bodies():
 
 def reference_antipodal_distances(bgraph):
     """d(x, -x) for every x < p/2, one full undirected Dijkstra per source in
-    chunks of 512 (inf where x cannot reach -x): the sweep whose first argmin
-    ``girth._shortest_antipodal_source`` must reproduce."""
+    chunks of 512 (inf where x cannot reach -x): the sweep whose minimum
+    ``girth._shortest_antipodal_source`` must find."""
     sources = np.arange(bgraph.size // 2)
     out = np.empty(len(sources))
     for start in range(0, len(sources), 512):
@@ -293,11 +293,13 @@ def reference_antipodal_distances(bgraph):
     return out
 
 
-def reference_symmetric_girth(body, n_samples, k_neighbors, rng, directions=None):
-    """``symmetric_girth`` from the full sweep: double k until every d(x, -x)
-    is finite, take the first minimal source, trace its path with an
+def reference_symmetric_girth(
+    body, n_samples, k_neighbors, rng, source, directions=None
+):
+    """``symmetric_girth`` from the full sweep and a given source: double k
+    until every d(x, -x) is finite, trace the path from ``source`` with an
     undirected search, then resample and refine as the library does.
-    Returns (final k, source, length, loop vertices)."""
+    Returns (final k, d(x, -x) for every x < p/2, length, loop vertices)."""
     bgraph = build_boundary_graph(
         body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng,
         directions=directions,
@@ -309,7 +311,6 @@ def reference_symmetric_girth(body, n_samples, k_neighbors, rng, directions=None
             bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
         )
         dists = reference_antipodal_distances(bgraph)
-    source = int(np.argmin(dists))
     target = int(bgraph.antipode[source])
     _, pred = dijkstra(
         bgraph.graph, directed=False, indices=source, return_predecessors=True
@@ -324,4 +325,4 @@ def reference_symmetric_girth(body, n_samples, k_neighbors, rng, directions=None
         closed=False,
     )[:-1]
     half, half_len = refine_symmetric_half(body, body.boundary_point(half))
-    return bgraph.k_neighbors, source, 2.0 * half_len, np.vstack([half, -half])
+    return bgraph.k_neighbors, dists, 2.0 * half_len, np.vstack([half, -half])

@@ -430,6 +430,14 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
             "dim": 2,
             "params": {"vertices": [[1, 0], [0, math.nan], [-1, -1]]},
         },
+        # Qhull's error carries its whole report; only the first line is kept
+        {
+            "kind": "polytope_v",
+            "dim": 2,
+            "params": {"vertices": [[1e300, 0], [0, 1], [-1, -1]]},
+        },
+        # finite and positive, but the polar's weight 1 / 5e-324 is not finite
+        {"kind": "lp", "dim": 2, "params": {"p": 4, "weights": [5e-324, 1]}},
     ],
     ids=[
         "radii-not-numbers",
@@ -445,6 +453,8 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
         "matrix-infinite",
         "weight-infinite",
         "vertex-nan",
+        "qhull-report",
+        "weight-subnormal",
     ],
 )
 def test_malformed_body_params_exit_2(tmp_path, capsys, spec):

@@ -330,6 +330,7 @@ def edited_specs(draw):
         "params": {"radii": [1, 1], "center": [np.nan, 0]},
     }
 )
+@example(spec={"kind": "lp", "dim": 2, "params": {"p": 4, "weights": [5e-324, 1]}})
 def test_body_from_dict_builds_or_raises_spec_parse_error(spec):
     # any JSON a body file can hold either builds a body or is a SpecParseError,
     # and a body it builds has a finite, positive gauge on every +-e_i

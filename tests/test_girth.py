@@ -203,9 +203,10 @@ def equator_directions(n_equator, n_random, seed):
 def test_girth_source_is_the_full_sweep_argmin(
     monkeypatch, body, n_samples, k_neighbors, directions, seed
 ):
-    # the band search must pick the source a full Dijkstra from every
-    # sample picks, on a graph with the same neighbor count, so that the
-    # girth comes out bit for bit the same
+    # the band search must pick a source of least d(x, -x) over a full
+    # Dijkstra from every sample, on a graph with the same neighbor count,
+    # and the girth from it must come out bit for bit as the full-sweep
+    # pipeline's from the same source
     chosen = []
     search = girth._shortest_antipodal_source
 
@@ -219,10 +220,13 @@ def test_girth_source_is_the_full_sweep_argmin(
         partial(build_boundary_graph, directions=directions),
     )
     length, loop = symmetric_girth(body, n_samples, k_neighbors, rng=seed)
-    ref_k, ref_source, ref_length, ref_vertices = reference_symmetric_girth(
-        body, n_samples, k_neighbors, seed, directions
+    assert len(chosen) == 1
+    k, source = chosen[0]
+    ref_k, dists, ref_length, ref_vertices = reference_symmetric_girth(
+        body, n_samples, k_neighbors, seed, source, directions
     )
-    assert chosen == [(ref_k, ref_source)]
+    assert k == ref_k
+    assert dists[source] == pytest.approx(dists.min(), rel=1e-12, abs=0)
     assert length.hex() == ref_length.hex()
     vertices = loop.vertices if isinstance(loop, DiscreteLoop) else loop
     assert np.array_equal(vertices, ref_vertices)
@@ -247,10 +251,12 @@ def test_girth_source_is_the_full_sweep_argmin(
 @pytest.mark.parametrize("seed", [0, 1])
 def test_girth_band_holds_a_shortest_antipodal_pair(body, n_samples, directions, seed):
     # every x -> -x path leaves {x0 > 0} through a band sample u, and
-    # d(u, -u) is at most the path's length
+    # d(u, -u) is at most the path's length, as long as x -> -x maps the
+    # graph onto itself, also where neighbor distances tie (the grid)
     bg = build_boundary_graph(
         body, n_samples=n_samples, rng=seed, directions=directions
     )
+    assert (bg.graph != bg.graph[bg.antipode][:, bg.antipode]).nnz == 0
     band = girth._band_sources(bg)
     dists = reference_antipodal_distances(bg)
     assert len(band) < bg.size // 2
