@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -223,6 +224,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
+        if not math.isfinite(args.tol):
+            raise InvalidParameter(f"--tol must be finite, got {args.tol}")
         return args.func(args)
     except (SpecParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)

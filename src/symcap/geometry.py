@@ -205,8 +205,8 @@ class Ellipsoid(ConvexBody):
     def support_point(self, u):
         u = self._check_vec(u)
         mu = u @ self._inv
-        quad = np.sum(mu * u, axis=-1)
-        if np.any(quad == 0.0):
+        quad = np.add.reduce(mu * u, axis=-1)
+        if (quad == 0.0).any():
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         return self.center + mu / np.sqrt(quad)[..., None]
 
@@ -215,7 +215,7 @@ class Ellipsoid(ConvexBody):
         # finite (support ~0, point c) where support_point would raise
         u = self._check_vec(u)
         mu = u @ self._inv
-        quad = np.maximum(np.sum(mu * u, axis=-1), 1e-300)
+        quad = np.maximum(np.add.reduce(mu * u, axis=-1), 1e-300)
         root = np.sqrt(quad)
         return u @ self.center + root, self.center + mu / root[..., None]
 
@@ -224,11 +224,11 @@ class Ellipsoid(ConvexBody):
         # y = x / g(x) and rescale so that <grad, x> = g(x).
         x = self._check_vec(x)
         g = np.asarray(self.gauge(x))
-        if np.any(g == 0.0):
+        if (g == 0.0).any():
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
         y = x / g[..., None]
         nu = (y - self.center) @ self.matrix
-        denom = np.sum(nu * y, axis=-1)
+        denom = np.add.reduce(nu * y, axis=-1)
         return nu / denom[..., None]
 
     def polar(self) -> "Ellipsoid":
@@ -295,9 +295,9 @@ class LpBall(ConvexBody):
 
     def _scaled_norm(self, z, expo):
         # max-factored power sum, stable for large exponents
-        m = np.max(z, axis=-1)
+        m = np.maximum.reduce(z, axis=-1)
         safe = np.where(m == 0.0, 1.0, m)
-        s = np.sum((z / safe[..., None]) ** expo, axis=-1)
+        s = np.add.reduce((z / safe[..., None]) ** expo, axis=-1)
         return np.where(m == 0.0, 0.0, safe * s ** (1.0 / expo))
 
     def gauge(self, x):
@@ -315,11 +315,11 @@ class LpBall(ConvexBody):
         # z = |u| w, its row maximum and power sum serve both, bit for bit
         u = self._check_vec(u)
         z = np.abs(u) * self.weights
-        m = np.max(z, axis=-1)
-        if np.any(m == 0.0):
+        m = np.maximum.reduce(z, axis=-1)
+        if (m == 0.0).any():
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         zn = z / m[..., None]
-        s = np.sum(zn**self.q, axis=-1)
+        s = np.add.reduce(zn**self.q, axis=-1)
         point = self.weights * np.sign(u) * zn ** (self.q - 1.0) / s[..., None] ** (
             (self.q - 1.0) / self.q
         )
@@ -328,11 +328,11 @@ class LpBall(ConvexBody):
     def gauge_gradient(self, x):
         x = self._check_vec(x)
         t = np.abs(x) / self.weights
-        m = np.max(t, axis=-1)
-        if np.any(m == 0.0):
+        m = np.maximum.reduce(t, axis=-1)
+        if (m == 0.0).any():
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
         tn = t / m[..., None]
-        s = np.sum(tn**self.p, axis=-1)
+        s = np.add.reduce(tn**self.p, axis=-1)
         return (
             np.sign(x)
             * tn ** (self.p - 1.0)
@@ -451,11 +451,11 @@ class Polytope(ConvexBody):
 
     def gauge(self, x):
         x = self._check_vec(x)
-        return np.max(x @ self._facet_grads.T, axis=-1)
+        return np.maximum.reduce(x @ self._facet_grads.T, axis=-1)
 
     def support(self, u):
         u = self._check_vec(u)
-        return np.max(u @ self.vertices.T, axis=-1)
+        return np.maximum.reduce(u @ self.vertices.T, axis=-1)
 
     def support_point(self, u):
         u = self._check_vec(u)
@@ -474,10 +474,10 @@ class Polytope(ConvexBody):
         u = self._check_vec(u)
         verts = self.vertices
         z = u @ verts.T
-        zmax = np.max(z, axis=-1)
+        zmax = np.maximum.reduce(z, axis=-1)
         safe = np.where(zmax <= 0.0, 1.0, zmax)
         zc = np.clip(z, 0.0, None) / safe[..., None]
-        s = np.sum(zc**p, axis=-1)
+        s = np.add.reduce(zc**p, axis=-1)
         # a zero edge gives z == 0 everywhere; its support is 0 and the zero
         # vector is a valid subgradient there
         s_safe = np.where(s <= 0.0, 1.0, s)

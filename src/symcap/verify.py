@@ -26,7 +26,7 @@ import numpy as np
 
 from ._util import fmt
 from .capacity import OptimizerConfig, c_j, clarke_minimize, ellipsoid_ehz_exact
-from .errors import CalibrationError, SpecParseError
+from .errors import CalibrationError, InvalidParameter, SpecParseError
 from .geometry import Ellipsoid, body_from_dict
 from .girth import check_schaffer_bound, symmetric_girth
 
@@ -217,6 +217,8 @@ def run_verify(
     processed and every inequality margin is at least -tol; any error or
     violated margin gives 1.
     """
+    if not math.isfinite(tol):  # it would pass or fail every margin alike
+        raise InvalidParameter(f"tolerance must be finite, got {tol!r}")
     suite = load_suite(suite)
     own = suite.get("profiles", {})
     if not isinstance(own, dict):

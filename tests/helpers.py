@@ -9,8 +9,17 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import dijkstra
 
 from symcap.capacity import clarke_edge_norm
-from symcap.errors import NonConvexParameters
-from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
+from symcap.characteristics import Trajectory
+from symcap.errors import GradientUndefinedAtZero, NonConvexParameters, StepUnstable
+from symcap.geometry import (
+    Ellipsoid,
+    LpBall,
+    Polytope,
+    ball,
+    cross_polytope,
+    cube,
+    lp_ball,
+)
 from symcap.girth import (
     REFINE_POINTS,
     _neighbor_graph,
@@ -326,3 +335,168 @@ def reference_symmetric_girth(
     )[:-1]
     half, half_len = refine_symmetric_half(body, body.boundary_point(half))
     return bgraph.k_neighbors, dists, 2.0 * half_len, np.vstack([half, -half])
+
+
+# The per-point kernels written with numpy's Python-level wrappers (np.sum,
+# np.max, np.any), read from the body's public attributes only: the
+# formulas the ufunc-reduction kernels of ``geometry`` must reproduce bit
+# for bit.
+
+def _reference_scaled_norm(z, expo):
+    m = np.max(z, axis=-1)
+    safe = np.where(m == 0.0, 1.0, m)
+    s = np.sum((z / safe[..., None]) ** expo, axis=-1)
+    return np.where(m == 0.0, 0.0, safe * s ** (1.0 / expo))
+
+
+def reference_gauge(body, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, Ellipsoid):
+        mat, c = body.matrix, body.center
+        a = np.einsum("...i,ij,...j->...", x, mat, x)
+        e = float(c @ mat @ c)
+        if e == 0.0:
+            return np.sqrt(np.maximum(a, 0.0))
+        b = x @ (mat @ c)
+        return (np.sqrt(np.maximum(b * b + (1.0 - e) * a, 0.0)) - b) / (1.0 - e)
+    if isinstance(body, LpBall):
+        return _reference_scaled_norm(np.abs(x) / body.weights, body.p)
+    return np.max(x @ (body.normals / body.offsets[:, None]).T, axis=-1)
+
+
+def reference_gauge_gradient(body, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, Ellipsoid):
+        g = np.asarray(reference_gauge(body, x))
+        if np.any(g == 0.0):
+            raise GradientUndefinedAtZero("gauge gradient undefined at 0")
+        y = x / g[..., None]
+        nu = (y - body.center) @ body.matrix
+        return nu / np.sum(nu * y, axis=-1)[..., None]
+    t = np.abs(x) / body.weights
+    m = np.max(t, axis=-1)
+    if np.any(m == 0.0):
+        raise GradientUndefinedAtZero("gauge gradient undefined at 0")
+    tn = t / m[..., None]
+    s = np.sum(tn**body.p, axis=-1)
+    return (
+        np.sign(x)
+        * tn ** (body.p - 1.0)
+        / body.weights
+        / s[..., None] ** ((body.p - 1.0) / body.p)
+    )
+
+
+def reference_support(body, u):
+    u = np.asarray(u, dtype=float)
+    if isinstance(body, LpBall):
+        return _reference_scaled_norm(np.abs(u) * body.weights, body.q)
+    return np.max(u @ body.vertices.T, axis=-1)
+
+
+def reference_support_point(body, u):
+    u = np.asarray(u, dtype=float)
+    if isinstance(body, Ellipsoid):
+        mu = u @ np.linalg.inv(body.matrix)
+        quad = np.sum(mu * u, axis=-1)
+        if np.any(quad == 0.0):
+            raise GradientUndefinedAtZero("support point undefined for direction 0")
+        return body.center + mu / np.sqrt(quad)[..., None]
+    return reference_support_and_point(body, u)[1]
+
+
+def reference_support_and_point(body, u):
+    u = np.asarray(u, dtype=float)
+    if isinstance(body, Ellipsoid):
+        mu = u @ np.linalg.inv(body.matrix)
+        root = np.sqrt(np.maximum(np.sum(mu * u, axis=-1), 1e-300))
+        return u @ body.center + root, body.center + mu / root[..., None]
+    z = np.abs(u) * body.weights
+    m = np.max(z, axis=-1)
+    if np.any(m == 0.0):
+        raise GradientUndefinedAtZero("support point undefined for direction 0")
+    zn = z / m[..., None]
+    s = np.sum(zn**body.q, axis=-1)
+    point = body.weights * np.sign(u) * zn ** (body.q - 1.0) / s[..., None] ** (
+        (body.q - 1.0) / body.q
+    )
+    return m * s ** (1.0 / body.q), point
+
+
+def reference_smoothed_support_and_point(body, u, p):
+    u = np.asarray(u, dtype=float)
+    verts = body.vertices
+    z = u @ verts.T
+    zmax = np.max(z, axis=-1)
+    safe = np.where(zmax <= 0.0, 1.0, zmax)
+    zc = np.clip(z, 0.0, None) / safe[..., None]
+    s = np.sum(zc**p, axis=-1)
+    s_safe = np.where(s <= 0.0, 1.0, s)
+    h = np.where(s <= 0.0, 0.0, safe * s_safe ** (1.0 / p))
+    w = zc ** (p - 1.0) / s_safe[..., None] ** ((p - 1.0) / p)
+    return h, w @ verts
+
+
+def _reference_field(body, x):
+    frame = SymplecticFrame(x.shape[-1] // 2)
+    return frame.apply_j(reference_gauge_gradient(body, x))
+
+
+def reference_integrate_characteristic(body, x0, t_max, step=1e-3):
+    """RK4 with a SymplecticFrame and an apply_j per stage, on the reference
+    kernels above: the formulation ``characteristics.integrate_characteristic``
+    must reproduce bit for bit.  Expects a smooth even-dimensional body, a
+    boundary start point and 0 < step < t_max."""
+    x0 = np.asarray(x0, dtype=float)
+    closure_tol = 1e-4 * body.diameter()
+
+    n_steps = int(math.ceil(t_max / step))
+    states = np.empty((n_steps + 1, body.dim))
+    states[0] = x0
+    f0 = _reference_field(body, x0)
+    section = lambda x: float((x - x0) @ f0)
+
+    period = None
+    closure_residual = None
+    crossings = []
+    s_prev = 0.0
+    x = x0
+    for k in range(n_steps):
+        k1 = _reference_field(body, x)
+        k2 = _reference_field(body, x + 0.5 * step * k1)
+        k3 = _reference_field(body, x + 0.5 * step * k2)
+        k4 = _reference_field(body, x + step * k3)
+        x_new = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x_new)):
+            raise StepUnstable(f"non-finite state at t = {(k + 1) * step!r}")
+        g = float(reference_gauge(body, x_new))
+        if not 0.5 < g < 2.0:
+            raise StepUnstable(
+                f"gauge drifted to {g!r} in one step; reduce the step size"
+            )
+        x_new = x_new / g
+        states[k + 1] = x_new
+        s_new = section(x_new)
+        if k > 0 and s_prev < 0.0 <= s_new:
+            theta = -s_prev / (s_new - s_prev)
+            t_cross = (k + theta) * step
+            x_cross = states[k] + theta * (x_new - states[k])
+            residual = float(np.linalg.norm(x_cross - x0))
+            crossings.append({"time": t_cross, "residual": residual})
+            if period is None and residual <= closure_tol:
+                period = t_cross
+                closure_residual = residual
+        s_prev = s_new
+        x = x_new
+
+    if period is None and crossings:
+        closure_residual = min(c["residual"] for c in crossings)
+    return Trajectory(
+        body=body,
+        times=step * np.arange(n_steps + 1),
+        states=states,
+        step=step,
+        period=period,
+        closure_residual=closure_residual,
+        crossings=crossings,
+    )

@@ -14,6 +14,7 @@ from symcap.characteristics import (
 )
 from symcap.errors import (
     CalibrationError,
+    InvalidParameter,
     NotSmoothBody,
     OrbitNotClosed,
     StepUnstable,
@@ -21,6 +22,8 @@ from symcap.errors import (
 from symcap.geometry import Ellipsoid, ball, cube, lp_ball
 from symcap.loops import DiscreteLoop, containment_score, gauge_length
 from symcap.symplectic import SymplecticFrame
+
+from helpers import random_spd_matrix, reference_integrate_characteristic
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +194,62 @@ def test_flow_validates_start_point_and_step():
         integrate_characteristic(ball(4), [1.0, 0.0, 0.0, 0.0], t_max=1.0, step=0.0)
     with pytest.raises(ValueError, match="step"):
         integrate_characteristic(ball(4), [1.0, 0.0, 0.0, 0.0], t_max=1.0, step=2.0)
+
+
+@pytest.mark.parametrize(
+    "t_max,step",
+    [
+        (math.nan, 1e-3),
+        (math.inf, 1e-3),
+        (1.0, math.nan),
+        (1e300, 1e-300),  # the quotient overflows to inf
+        (1e9, 1e-3),  # 1e12 steps, 29 TiB of states at dim 4
+    ],
+    ids=["tmax-nan", "tmax-inf", "step-nan", "steps-overflow", "too-many-steps"],
+)
+def test_flow_rejects_non_finite_and_oversized_runs(t_max, step):
+    with pytest.raises(InvalidParameter, match="step"):
+        integrate_characteristic(
+            ball(4), [1.0, 0.0, 0.0, 0.0], t_max=t_max, step=step
+        )
+
+
+# (name, body, start direction, t_max, step): every smooth body kind, the
+# shifted centre, a full matrix and the 6-d ellipsoid.  The first two close
+# within t_max, and the shifted and full-matrix ellipsoids cross their start
+# section without closing.
+FLOW_CASES = [
+    ("ball2", ball(2), [1.0, 0.0], 7.0, 5e-3),
+    ("ellipsoid-1-2", Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]),
+     [1.0, 0.0, 0.0, 0.0], 7.0, 4e-3),
+    ("ellipsoid-r6", Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]),
+     [1.0, 0.3, -0.2, 0.5, 0.1, 0.7], 4.0, 2e-3),
+    ("shifted-ellipsoid",
+     Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
+     [1.0, 0.3, -0.2, 0.5], 7.0, 4e-3),
+    ("spd-ellipsoid", Ellipsoid(random_spd_matrix(np.random.default_rng(3), 4)),
+     [1.0, 0.3, -0.2, 0.5], 4.0, 2e-3),
+    ("l4ball", lp_ball(4.0, np.ones(4)), [1.0, 0.3, -0.2, 0.5], 4.0, 2e-3),
+]
+
+
+@pytest.mark.parametrize(
+    "name,body,direction,t_max,step", FLOW_CASES, ids=[c[0] for c in FLOW_CASES]
+)
+def test_flow_is_bit_identical_to_the_reference(name, body, direction, t_max, step):
+    # the field built once per call, J as a signed permutation and the
+    # ufunc-reduction kernels must not move a single bit of the stage-by-stage
+    # apply_j formulation on the wrapper-based kernels
+    x0 = body.boundary_point(np.array(direction))
+    got = integrate_characteristic(body, x0, t_max=t_max, step=step)
+    ref = reference_integrate_characteristic(body, x0, t_max=t_max, step=step)
+    assert got.states.tobytes() == ref.states.tobytes()
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert repr(got.period) == repr(ref.period)
+    assert repr(got.closure_residual) == repr(ref.closure_residual)
+    assert repr(got.crossings) == repr(ref.crossings)
+    if name in ("ball2", "ellipsoid-1-2"):
+        assert got.period is not None
 
 
 def test_oversized_step_is_reported_unstable():

@@ -6,7 +6,7 @@ import pytest
 from symcap import verify
 from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
 from symcap.cli import main
-from symcap.errors import SpecParseError
+from symcap.errors import InvalidParameter, SpecParseError
 from symcap.verify import CSV_COLUMNS
 
 BALL2 = {"id": "ball-d2", "kind": "ellipsoid", "dim": 2, "params": {"radii": [1.0, 1.0]}}
@@ -281,6 +281,21 @@ def test_verify_non_object_body_entry_exits_2(tmp_path, capsys):
         verify.run_verify({"bodies": [5, BALL2]}, tmp_path / "r")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_verify_non_finite_tolerance_exits_2(tmp_path, capsys, tol):
+    # an infinite tolerance passes every margin, a NaN one fails every
+    # record marked ok, and neither is a JSON number
+    suite = write_json(tmp_path, "suite.json", {"bodies": [BALL2]})
+    out = tmp_path / "r"
+    code, _, err = run_cli(capsys, ["verify", suite, "--out", str(out), f"--tol={tol}"])
+    assert code == 2
+    assert err == f"error: --tol must be finite, got {tol}\n"
+    assert not out.exists()
+    with pytest.raises(InvalidParameter, match="tolerance must be finite"):
+        verify.run_verify({"bodies": [BALL2]}, out, tol=float(tol))
+    assert not out.exists()
+
+
 def test_verify_unknown_profile_exits_2(tmp_path, capsys):
     suite = write_json(tmp_path, "suite.json", {"bodies": []})
     code, _, err = run_cli(
@@ -339,6 +354,13 @@ def test_usage_errors_exit_2(capsys):
         ["flow", "--start", "inf,0", "--tmax", "1"],
         ["capacity", "--points", "1000000000", "--restarts", "1"],
         ["girth", "--samples", "1000000000"],
+        ["flow", "--start", "1,0", "--tmax", "nan"],
+        ["flow", "--start", "1,0", "--tmax", "inf"],
+        ["flow", "--start", "1,0", "--tmax", "1", "--step", "nan"],
+        ["flow", "--start", "1,0", "--tmax", "1e300", "--step", "1e-300"],
+        ["flow", "--start", "1,0", "--tmax", "1e9"],
+        ["girth", "--samples", "8", "--tol", "nan"],
+        ["girth", "--samples", "8", "--tol", "inf"],
     ],
     ids=[
         "too-few-points",
@@ -358,6 +380,13 @@ def test_usage_errors_exit_2(capsys):
         "start-inf",
         "too-many-points",
         "too-many-samples",
+        "tmax-nan",
+        "tmax-inf",
+        "step-nan",
+        "steps-overflow",
+        "too-many-steps",
+        "girth-tol-nan",
+        "girth-tol-inf",
     ],
 )
 def test_out_of_range_options_exit_2(tmp_path, capsys, argv):

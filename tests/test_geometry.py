@@ -27,7 +27,14 @@ from helpers import (
     bisect_gauge,
     fixture_bodies,
     gauge_scaling_lp,
+    random_spd_matrix,
     random_symmetric_polytope,
+    reference_gauge,
+    reference_gauge_gradient,
+    reference_smoothed_support_and_point,
+    reference_support,
+    reference_support_and_point,
+    reference_support_point,
 )
 
 
@@ -229,6 +236,90 @@ def test_constructor_validation():
         Polytope(vertices=np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(NonConvexParameters):
         Polytope(vertices=np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+KERNEL_BODIES = BODIES + [
+    ("spd-ellipsoid", Ellipsoid(random_spd_matrix(np.random.default_rng(3), 4)))
+]
+
+
+def _kernels(body):
+    """(name, library kernel, reference formula) for each per-point kernel."""
+    if isinstance(body, Ellipsoid):
+        return [
+            ("gauge", body.gauge, reference_gauge),
+            ("gauge_gradient", body.gauge_gradient, reference_gauge_gradient),
+            ("support_point", body.support_point, reference_support_point),
+            ("support_and_point", body.support_and_point, reference_support_and_point),
+        ]
+    if isinstance(body, LpBall):
+        return [
+            ("gauge", body.gauge, reference_gauge),
+            ("support", body.support, reference_support),
+            ("gauge_gradient", body.gauge_gradient, reference_gauge_gradient),
+            ("support_point", body.support_point, reference_support_point),
+            ("support_and_point", body.support_and_point, reference_support_and_point),
+        ]
+    return [
+        ("gauge", body.gauge, reference_gauge),
+        ("support", body.support, reference_support),
+        *[
+            (
+                f"smoothed_support_and_point-{p:g}",
+                lambda u, p=p: body.smoothed_support_and_point(u, p),
+                lambda b, u, p=p: reference_smoothed_support_and_point(b, u, p),
+            )
+            for p in (40.0, 10240.0)
+        ],
+    ]
+
+
+def _as_bytes(result):
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(r).tobytes() for r in parts]
+
+
+@pytest.mark.parametrize(
+    "name,body", KERNEL_BODIES, ids=[n for n, _ in KERNEL_BODIES]
+)
+def test_kernels_are_bit_identical_to_the_wrapper_formulas(name, body):
+    # np.add.reduce, np.maximum.reduce and c.any() in place of np.sum, np.max
+    # and np.any: on single vectors and on batches, not one bit may move;
+    # signed zeros and exact ties included
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(64, body.dim))
+    x[1, 0] = 0.0
+    x[2, 0] = -0.0
+    x[3] = 0.5
+    x[4, :2] = [-2.0, 2.0]
+    for kernel_name, kernel, reference in _kernels(body):
+        assert _as_bytes(kernel(x)) == _as_bytes(reference(body, x)), kernel_name
+        for row in x[:8]:
+            assert _as_bytes(kernel(row)) == _as_bytes(reference(body, row)), (
+                kernel_name
+            )
+
+
+ZERO_RAISES = [
+    (name, body, method)
+    for name, body in KERNEL_BODIES
+    if body.is_smooth
+    for method in (
+        ("gauge_gradient", "support_point")
+        + (("support_and_point",) if isinstance(body, LpBall) else ())
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "name,body,method", ZERO_RAISES, ids=[f"{n}-{m}" for n, _, m in ZERO_RAISES]
+)
+def test_zero_vector_still_raises(name, body, method):
+    batch = np.random.default_rng(59).normal(size=(4, body.dim))
+    batch[2] = 0.0
+    for x in (np.zeros(body.dim), batch):
+        with pytest.raises(GradientUndefinedAtZero):
+            getattr(body, method)(x)
 
 
 def test_gradient_undefined_at_zero():
