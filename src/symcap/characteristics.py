@@ -9,10 +9,6 @@ Closure is detected by upward crossings of the hyperplane through the
 start point normal to the initial velocity; on a closed orbit the enclosed
 symplectic action equals half the period, which ``closed_orbit_action``
 verifies and returns.
-
-For centered ellipsoids the field is linear on the boundary (J M x), and
-``ellipsoid_flow_states`` evaluates the exact matrix-exponential flow for
-use as an oracle against the generic integrator.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from .errors import (
     OrbitNotClosed,
     StepUnstable,
 )
-from .geometry import ConvexBody, Ellipsoid
+from .geometry import ConvexBody
 from .symplectic import SymplecticFrame
 
 MAX_STEPS = 1 << 22  # RK4 steps a caller may ask for: 200 MB of states at dim 6
@@ -146,24 +142,6 @@ def integrate_characteristic(
         closure_residual=closure_residual,
         crossings=crossings,
     )
-
-
-def ellipsoid_flow_states(body: Ellipsoid, x0, times):
-    """Exact characteristic flow on a centered ellipsoid boundary.
-
-    On the boundary the field reduces to the linear map J M, whose flow is
-    evaluated through the eigendecomposition, giving reference states to
-    machine precision for oracle comparisons.
-    """
-    if not isinstance(body, Ellipsoid) or not body.is_symmetric:
-        raise NotSmoothBody("exact flow needs a centered ellipsoid")
-    frame = SymplecticFrame(body.dim // 2)
-    a = frame.j_matrix() @ body.matrix
-    evals, vecs = np.linalg.eig(a)
-    coeffs = np.linalg.solve(vecs, np.asarray(x0, dtype=float).astype(complex))
-    times = np.asarray(times, dtype=float)
-    phases = np.exp(np.outer(times, evals))
-    return np.real((phases * coeffs) @ vecs.T)
 
 
 def closed_orbit_action(trajectory: Trajectory) -> float:

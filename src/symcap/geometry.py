@@ -557,12 +557,6 @@ def cube(dim: int, radius: float = 1.0) -> Polytope:
     return Polytope(normals=normals, offsets=np.full(2 * dim, float(radius)))
 
 
-def cross_polytope(dim: int, radius: float = 1.0) -> Polytope:
-    """The l^1 ball of the given radius as a vertex polytope."""
-    eye = np.eye(dim)
-    return Polytope(vertices=np.vstack([radius * eye, -radius * eye]))
-
-
 def lp_ball(p, weights) -> ConvexBody:
     """Weighted l^p ball for any p in [1, inf].
 

@@ -55,6 +55,15 @@ def schaffer_bound(dim: int) -> float:
     return 4.0 + 4.0 / (dim - 1 if dim % 2 else dim)
 
 
+def check_sample_count(n_samples: int) -> None:
+    """Raise InvalidParameter unless n_samples is even and in [4, MAX_SAMPLES]."""
+    if not 4 <= n_samples <= MAX_SAMPLES or n_samples % 2 != 0:
+        raise InvalidParameter(
+            f"n_samples must be an even number in [4, {MAX_SAMPLES}] "
+            "(antipodal pairing)"
+        )
+
+
 @dataclass
 class BoundaryGraph:
     """Antipodally paired boundary samples with gauge-weighted kNN edges."""
@@ -89,11 +98,7 @@ def build_boundary_graph(
     if k_neighbors < 1:
         raise InvalidParameter("k_neighbors must be at least 1")
     if directions is None:
-        if not 4 <= n_samples <= MAX_SAMPLES or n_samples % 2 != 0:
-            raise InvalidParameter(
-                f"n_samples must be an even number in [4, {MAX_SAMPLES}] "
-                "(antipodal pairing)"
-            )
+        check_sample_count(n_samples)
         rng = as_rng(rng if rng is not None else 0)
         directions = rng.normal(size=(n_samples // 2, body.dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import linprog, minimize, nnls, root
 
 from .errors import (
     DegenerateLoop,
@@ -205,10 +205,11 @@ def containment_score(
     The objective is convex in t.  Polytope bodies are solved exactly as a
     linear program.  Smooth bodies solve the epigraph form
     (min s s.t. s >= g_K(x_i - t)) by SLSQP from the centroid, polish the
-    tie point by Newton's method, and bound the remaining gap by a simplex
-    certificate.  Raises OptimizerDidNotConverge when the certified gap
-    exceeds ``gap_tol`` times max(1, sigma).  Both paths are deterministic:
-    ``rng`` has no effect and is accepted for compatibility.
+    tie point with a root solve of its stationarity and equal-value
+    equations, and bound the remaining gap by a simplex certificate.  Raises
+    OptimizerDidNotConverge when the certified gap exceeds ``gap_tol`` times
+    max(1, sigma).  Both paths are deterministic: ``rng`` has no effect and
+    is accepted for compatibility.
 
     Accepts a DiscreteLoop or a plain (N, d) array of points.
     """
@@ -281,19 +282,19 @@ def _containment_slsqp(pts, body) -> ContainmentDetails:
     )
     best_t = res.x[:d]
     best_f = objective(best_t)
-
-    # Newton on the tie system.  SLSQP alone certifies gaps up to ~1e-7;
-    # solving the stationarity + equal-value equations directly recovers the
-    # point to machine precision, which is what makes the certificate tight.
-    t_newton = _equalization_newton(pts, body, best_t)
-    if t_newton is not None:
-        f_newton = objective(t_newton)
-        if _containment_certificate(pts, body, t_newton, f_newton) < (
-            _containment_certificate(pts, body, best_t, best_f)
-        ):
-            best_t, best_f = t_newton, f_newton
-
     gap = _containment_certificate(pts, body, best_t, best_f)
+
+    # SLSQP alone certifies gaps up to ~1e-7; solving the stationarity and
+    # equal-value equations of the tie recovers the point to rounding level,
+    # which is what makes the certificate tight.  The polished point is kept
+    # only when it certifies a lower gap, so a non-finite one loses
+    t_tie = _tie_polish(pts, body, best_t)
+    if t_tie is not None:
+        f_tie = objective(t_tie)
+        gap_tie = _containment_certificate(pts, body, t_tie, f_tie)
+        if gap_tie < gap:
+            best_t, best_f, gap = t_tie, f_tie, gap_tie
+
     return ContainmentDetails(
         sigma=best_f, translation=best_t, gap=gap, method="slsqp"
     )
@@ -336,62 +337,27 @@ def _containment_certificate(pts, body, t_hat, f_hat):
     return best_gap
 
 
-def _equalization_newton(pts, body, t0, max_iter=10):
-    """Solve the minimax tie system at the current active set exactly.
+def _tie_polish(pts, body, t0):
+    """Solve the minimax tie system at the active set of ``t0``.
 
-    Unknowns (t, lam); equations: sum_i lam_i dg_i(t) = 0, g_i(t) = g_0(t)
-    for the active set, sum lam = 1.  Jacobian blocks use finite differences
-    of the gauge gradient.  Returns the refined translation, or None when the
-    active structure does not support a Newton step.
+    Unknowns (t, lam); equations: sum_i lam_i dg_i/dt = 0, g_i(t) = g_0(t)
+    over the active samples, sum lam = 1, solved by MINPACK's
+    Levenberg-Marquardt from (t0, 1/k).  Returns the solved translation, or
+    None unless 2 <= k <= d + 1 samples are active.
     """
     d = pts.shape[1]
     values = body.gauge(pts - t0)
     fmax = float(values.max())
-    act = np.nonzero(values >= fmax - 1e-6 * max(1.0, fmax))[0]
-    k = len(act)
+    x = pts[values >= fmax - 1e-6 * max(1.0, fmax)]
+    k = len(x)
     if k < 2 or k > d + 1:
         return None
-    x = pts[act]
 
-    def grad_rows(tt):
-        return -body.gauge_gradient(x - tt)  # row i is d g_i / d t
+    def residual(z):
+        t, lam = z[:d], z[d:]
+        g = body.gauge(x - t)
+        stationarity = -body.gauge_gradient(x - t).T @ lam
+        return np.concatenate([stationarity, g[1:] - g[0], [lam.sum() - 1.0]])
 
-    def residual(tt, ll):
-        g = body.gauge(x - tt)
-        rows = grad_rows(tt)
-        return np.concatenate([rows.T @ ll, g[1:] - g[0], [ll.sum() - 1.0]])
-
-    t = t0.copy()
-    lam = np.full(k, 1.0 / k)
-    h = 1e-6 * max(1.0, float(np.abs(t).max()))
-    for _ in range(max_iter):
-        res = residual(t, lam)
-        nrm = np.linalg.norm(res)
-        if nrm < 1e-13:
-            break
-        rows = grad_rows(t)
-        hess = np.empty((k, d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            hess[:, :, j] = (grad_rows(t + e) - grad_rows(t - e)) / (2 * h)
-        jac = np.zeros((d + k, d + k))
-        jac[:d, :d] = np.einsum("i,ipj->pj", lam, hess)
-        jac[:d, d:] = rows.T
-        jac[d : d + k - 1, :d] = rows[1:] - rows[0]
-        jac[d + k - 1, d:] = 1.0
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        for _ in range(25):
-            t_try = t + alpha * step[:d]
-            lam_try = lam + alpha * step[d:]
-            if np.linalg.norm(residual(t_try, lam_try)) < nrm:
-                t, lam = t_try, lam_try
-                break
-            alpha *= 0.5
-        else:
-            break
-    return t
+    sol = root(residual, np.concatenate([t0, np.full(k, 1.0 / k)]), method="lm")
+    return sol.x[:d]

@@ -28,7 +28,7 @@ from ._util import fmt
 from .capacity import OptimizerConfig, c_j, clarke_minimize, ellipsoid_ehz_exact
 from .errors import CalibrationError, InvalidParameter, SpecParseError
 from .geometry import Ellipsoid, body_from_dict
-from .girth import check_schaffer_bound, symmetric_girth
+from .girth import check_sample_count, check_schaffer_bound, symmetric_girth
 
 @dataclass
 class VerificationRecord:
@@ -127,8 +127,8 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
         config = OptimizerConfig(
             seed=record.seed,
-            restarts=int(profile_params["restarts"]),
-            points=int(profile_params["points"]),
+            restarts=profile_params["restarts"],
+            points=profile_params["points"],
             symmetric=True,
         )
         clarke_res = clarke_minimize(body, config)
@@ -155,7 +155,7 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
             girth_len, girth_loop = symmetric_girth(
                 body,
-                n_samples=int(profile_params["girth_samples"]),
+                n_samples=profile_params["girth_samples"],
                 rng=_derived_seed(seed, index, 2),
             )
             record.girth_length = girth_len
@@ -233,6 +233,18 @@ def run_verify(
     missing = [k for k in keys if not isinstance(params, dict) or k not in params]
     if missing:
         raise SpecParseError(f"profile {profile!r} lacks {', '.join(missing)}")
+    for key in keys:
+        if type(params[key]) is not int:  # bool is an int subclass: rejected too
+            raise SpecParseError(
+                f"profile {profile!r}: {key} must be an integer, got {params[key]!r}"
+            )
+    try:  # the rules the solve and the girth search apply, checked up front
+        OptimizerConfig(
+            restarts=params["restarts"], points=params["points"], symmetric=True
+        )
+        check_sample_count(params["girth_samples"])
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"profile {profile!r}: {exc}") from None
     records = [
         verify_body(entry, i, seed, params) for i, entry in enumerate(suite["bodies"])
     ]

@@ -21,7 +21,7 @@ from symcap.capacity import (
 )
 from symcap.characteristics import closed_orbit_action, integrate_characteristic
 from symcap.cli import main as cli_main
-from symcap.geometry import Ellipsoid, ball, cross_polytope, cube, lp_ball
+from symcap.geometry import Ellipsoid, ball, cube, lp_ball
 from symcap.girth import symmetric_girth
 from symcap.loops import DiscreteLoop, containment_score, gauge_length
 from symcap.symmetry import symmetrize_central, symmetrize_mfold
@@ -184,7 +184,7 @@ def _length_bound_fixtures():
         ball(4),
         Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]),
         cube(4),
-        cross_polytope(4),
+        lp_ball(1, np.ones(4)),
         lp_ball(4, [1.0, 1.0, 1.0, 1.0]),
         ball(6),
         Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]),

@@ -34,7 +34,6 @@ from symcap.geometry import (
     Polytope,
     ball,
     body_from_dict,
-    cross_polytope,
     cube,
     lp_ball,
 )
@@ -211,7 +210,7 @@ SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
         (ball(4), 4),
         (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4),
         (cube(4), 4),
-        (cross_polytope(4), 4),
+        (lp_ball(1, np.ones(4)), 4),
         (lp_ball(4.0, np.ones(4)), 4),
         (Ellipsoid.from_radii([1.0, 2.0, 2.0, 1.0]), 2),
         (lp_ball(np.inf, np.array([1.0, 2.0, 3.0, 4.0])), 2),
@@ -438,7 +437,7 @@ def test_c_j_polytope_known_values():
     res_cube = c_j(cube(4))
     assert res_cube.method == METHOD_EXACT_VERTEX_PAIR
     assert res_cube.value == pytest.approx(1.0, rel=1e-12)
-    res_cross = c_j(cross_polytope(4))
+    res_cross = c_j(lp_ball(1, np.ones(4)))
     assert res_cross.value == pytest.approx(0.25, rel=1e-12)
     x, y = res_cube.witness
     frame = SymplecticFrame(2)

@@ -8,7 +8,6 @@ from symcap.capacity import c_j, ellipsoid_ehz_exact
 from symcap.characteristics import (
     Trajectory,
     closed_orbit_action,
-    ellipsoid_flow_states,
     export_trajectory,
     integrate_characteristic,
 )
@@ -23,7 +22,11 @@ from symcap.geometry import Ellipsoid, ball, cube, lp_ball
 from symcap.loops import DiscreteLoop, containment_score, gauge_length
 from symcap.symplectic import SymplecticFrame
 
-from helpers import random_spd_matrix, reference_integrate_characteristic
+from helpers import (
+    ellipsoid_flow_states,
+    random_spd_matrix,
+    reference_integrate_characteristic,
+)
 
 
 @pytest.fixture(scope="module")

@@ -324,6 +324,44 @@ def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "key,raw,message",
+    [
+        ("points", "16.7", "points must be an integer, got 16.7"),
+        ("restarts", "true", "restarts must be an integer, got True"),
+        ("points", '"abc"', "points must be an integer, got 'abc'"),
+        ("points", "1e400", "points must be an integer, got inf"),
+        ("points", "2", "need at least 3 loop points"),
+        ("points", "49", "symmetric mode needs an even number of points"),
+        ("restarts", "-1", "need at least 1 restart"),
+        (
+            "girth_samples",
+            "63",
+            "n_samples must be an even number in [4, 65536] (antipodal pairing)",
+        ),
+    ],
+    ids=["fraction", "bool", "string", "overflow", "too-few-points", "odd-points",
+         "negative-restarts", "odd-samples"],
+)
+def test_verify_bad_profile_value_exits_2_before_any_body(
+    tmp_path, capsys, monkeypatch, key, raw, message
+):
+    def no_body(*args):
+        raise AssertionError("a body ran")
+
+    monkeypatch.setattr(verify, "verify_body", no_body)
+    profile = json.dumps({**TINY_PROFILE["tiny"], key: None}).replace("null", raw)
+    suite = tmp_path / "suite.json"
+    suite.write_text(f'{{"bodies": [{json.dumps(BALL2)}], "profiles": {{"tiny": {profile}}}}}')
+    out = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, ["verify", str(suite), "--out", str(out), "--profile", "tiny"]
+    )
+    assert code == 2
+    assert err == f"error: profile 'tiny': {message}\n"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

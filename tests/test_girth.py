@@ -14,7 +14,7 @@ from symcap.errors import (
     LoopNotOnBoundary,
     LoopNotSymmetric,
 )
-from symcap.geometry import Ellipsoid, Polytope, ball, cross_polytope, cube, lp_ball
+from symcap.geometry import Ellipsoid, Polytope, ball, cube, lp_ball
 from symcap.girth import (
     MAX_SAMPLES,
     build_boundary_graph,
@@ -188,7 +188,7 @@ def equator_directions(n_equator, n_random, seed):
         (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, 12, None),
         (Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]), 1024, 12, None),
         (cube(4), 1024, 12, None),
-        (cross_polytope(4), 512, 12, None),
+        (lp_ball(1, np.ones(4)), 512, 12, None),
         (lp_ball(4.0, np.ones(4)), 512, 12, None),
         # samples with x0 = 0 exactly, which the band splits by index
         (ball(4), None, 12, grid_directions(4, 40, 0)),

@@ -10,6 +10,7 @@ from symcap.errors import (
     SpecParseError,
     TooFewVertices,
 )
+from symcap import loops
 from symcap.geometry import Ellipsoid, ball, cube, lp_ball
 from symcap.loops import (
     DiscreteLoop,
@@ -237,18 +238,39 @@ def test_containment_ellipsoid_matches_lp_on_polytope_points():
 
 
 def test_containment_smooth_certificate_is_tight():
-    # SLSQP alone stops ~1e-8 short; the Newton polish on the tie system is
-    # what brings the certified gap down to rounding level
+    # SLSQP alone certifies gaps near 1e-9; the root solve of the tie system
+    # is what brings the certified gap down to rounding level
     rng = np.random.default_rng(11)
-    shifted = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1])
-    for body in (shifted, lp_ball(4.0, np.ones(4))):
-        for _ in range(3):
-            pts = rng.normal(size=(64, 4)) * rng.uniform(0.5, 2.0) + rng.normal(size=4)
+    bodies = (
+        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
+        lp_ball(4.0, np.ones(4)),
+        Ellipsoid.from_radii(
+            [1.0, 1.2, 1.5, 1.0, 1.2, 1.5], center=[0.1, 0.0, -0.2, 0.0, 0.05, 0.0]
+        ),
+        lp_ball(4.0, np.ones(6)),
+    )
+    for body in bodies:
+        d = body.dim
+        for _ in range(10):
+            pts = rng.normal(size=(64, d)) * rng.uniform(0.5, 2.0) + rng.normal(size=d)
             details = containment_score(pts, body, return_details=True)
             assert details.method == "slsqp"
             assert details.gap <= 1e-12 * max(1.0, details.sigma)
             values = body.gauge(pts - details.translation)
             assert details.sigma == pytest.approx(values.max(), rel=1e-15)
+
+
+def test_containment_keeps_slsqp_point_when_more_than_d_plus_1_tie(monkeypatch):
+    # all 32 vertices of a circle polygon tie, so the tie system has no
+    # unique multipliers: the polish is skipped and SLSQP's point stands
+    def no_root(*args, **kwargs):
+        raise AssertionError("the tie polish ran")
+
+    monkeypatch.setattr(loops, "root", no_root)
+    details = containment_score(circle_loop(32), ball(2), return_details=True)
+    assert details.sigma == pytest.approx(1.0, abs=1e-7)
+    assert np.abs(details.translation).max() <= 1e-7
+    assert details.gap <= 1e-7
 
 
 def test_containment_unreachable_gap_raises():
