@@ -5,7 +5,8 @@ Three quantities are computed here:
 * ``c_j``                  the pairing invariant 1 / max{omega(x, y) : x, y in
                            the polar body}, exact for polytopes (vertex pairs)
                            and centered ellipsoids (spectral), otherwise a
-                           multistart support ascent with a sampling bound
+                           support ascent run from every one of CJ_SAMPLES
+                           polar boundary samples at once
 * ``clarke_minimize``      the discrete dual minimization of
                            L(gamma)^2 / (4 |A(gamma)|) over closed loops,
                            where L uses the edge norm ||v|| = h_K(-J v);
@@ -78,7 +79,8 @@ class CapacityResult:
 # ``_levels``).  Polytopes sharpen the p-norm that smooths their support, at
 # the full point count; smooth bodies start at N / 2^POINT_HALVINGS points and
 # double them.  The reported value always re-evaluates with the exact support.
-# MAX_POINTS bounds the loop size a caller may ask for.
+# MAX_POINTS and MAX_RESTARTS bound the loop size and the restart count a
+# caller may ask for; every restart's generator is spawned up front.
 MAX_ITERATIONS = 5000
 LEVEL_ITERATIONS = 500
 F_RTOL = 1e-12
@@ -86,6 +88,7 @@ G_TOL = 1e-10
 SMOOTHING_LEVELS = (40.0, 160.0, 640.0, 2560.0, 10240.0)
 POINT_HALVINGS = 3
 MAX_POINTS = 1 << 16
+MAX_RESTARTS = 1 << 16
 
 
 @dataclass
@@ -115,6 +118,10 @@ class OptimizerConfig:
             )
         if self.restarts < 1:
             raise InvalidParameter("need at least 1 restart")
+        if self.restarts > MAX_RESTARTS:
+            raise InvalidParameter(
+                f"at most {MAX_RESTARTS} restarts, got {self.restarts}"
+            )
         if self.symmetric and self.points % 2 != 0:
             raise InvalidParameter("symmetric mode needs an even number of points")
 
@@ -246,19 +253,15 @@ def _functional_with_grad(body, x, m, p):
 # Startup calibration
 # ---------------------------------------------------------------------------
 
-_CALIBRATED = False
-
-
+@functools.cache
 def calibration_self_test():
     """Check the functional normalization against closed forms, once.
 
     The regular N-gon inscribed in the unit circle of a coordinate plane must
     evaluate to exactly N tan(pi/N), which is within one percent of pi for
     N = 256, and the spectral ellipsoid value for semi-axes (1, 2) must be pi.
+    A failing check raises, which is not cached, so the next call runs again.
     """
-    global _CALIBRATED
-    if _CALIBRATED:
-        return
     n_pts = 256
     t = 2.0 * math.pi * np.arange(n_pts) / n_pts
     x = np.zeros((n_pts, 2))
@@ -277,7 +280,6 @@ def calibration_self_test():
         raise CalibrationError(
             f"ellipsoid closed form {spectral.value!r} should be pi"
         )
-    _CALIBRATED = True
 
 
 # ---------------------------------------------------------------------------
@@ -445,32 +447,27 @@ def clarke_minimize(
 # c_j
 # ---------------------------------------------------------------------------
 
-def c_j(
-    body: ConvexBody,
-    method: str = "auto",
-    restarts: int = 16,
-    samples: int = 2048,
-    seed=0,
-) -> CapacityResult:
+# boundary samples of the polar that the ascent starts from, and its round cap
+CJ_SAMPLES = 2048
+CJ_ROUNDS = 200
+
+
+def c_j(body: ConvexBody, method: str = "auto", seed=0) -> CapacityResult:
     """The pairing capacity: 1 over the largest omega value on the polar.
 
-    ``method`` may be "auto", "exact" (error if no exact path applies), or
-    "optimize" (force the general path, mainly for cross-checks).
+    Polytopes (vertex pairs) and centered ellipsoids (spectral) have an
+    exact path; other bodies take the support ascent of ``_c_j_ascent``.
+    ``method="optimize"`` forces the ascent, mainly for cross-checks.
     """
     frame = frame_for(body)
-    if method not in ("auto", "exact", "optimize"):
+    if method not in ("auto", "optimize"):
         raise ValueError(f"unknown method {method!r}")
-
-    if method != "optimize":
+    if method == "auto":
         if isinstance(body, Polytope):
             return _c_j_vertex_pairs(body, frame)
         if isinstance(body, Ellipsoid) and body.is_symmetric:
             return _c_j_spectral(body)
-        if method == "exact":
-            raise NonConvexParameters(
-                "no exact c_j path for this body; use method='auto' or 'optimize'"
-            )
-    return _c_j_ascent(body, frame, restarts, samples, as_rng(seed))
+    return _c_j_ascent(body, frame, as_rng(seed))
 
 
 def _c_j_vertex_pairs(body: Polytope, frame) -> CapacityResult:
@@ -509,54 +506,41 @@ def _c_j_spectral(body: Ellipsoid) -> CapacityResult:
     )
 
 
-def _c_j_ascent(body, frame, restarts, samples, rng) -> CapacityResult:
-    """Block coordinate support ascent over pairs in the polar body.
+def _c_j_ascent(body, frame, rng) -> CapacityResult:
+    """Block coordinate support ascent over pairs in the polar body, run
+    from CJ_SAMPLES random boundary points of the polar at once.
 
     Each half step maximizes omega exactly in one argument (a support point
-    of the polar), so the objective never decreases.  Dense boundary sampling
-    supplies both starting pairs and an independent lower bound on the
-    attained maximum.
+    of the polar), so no pair's value decreases.  The first half step pairs
+    each sample x with its exact best partner y = sp(J x); the largest of
+    those values, ``sample_lower_bound``, is attained by a pair.  The rounds
+    stop once no pair's value grows, and the best pair is the witness.
     """
     polar = body.polar()
-    dirs = rng.normal(size=(samples, body.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    z = polar.boundary_point(dirs)
-    omega = frame.apply_j(z) @ z.T
-    flat_best = np.argmax(omega)
-    i0, j0 = np.unravel_index(flat_best, omega.shape)
-    sample_max = float(omega[i0, j0])
-
-    def ascend(x, y):
-        val = float(frame.omega(x, y))
-        for _ in range(200):
-            y = polar.support_point(frame.apply_j(x))
-            x = polar.support_point(-frame.apply_j(y))
-            new = float(frame.omega(x, y))
-            if new - val <= 1e-15 * max(1.0, abs(new)):
-                val = max(val, new)
-                break
-            val = new
-        return val, x, y
-
-    best_val, best_x, best_y = ascend(z[i0].copy(), z[j0].copy())
-    for _ in range(restarts):
-        x = polar.boundary_point(rng.normal(size=body.dim))
-        y = polar.boundary_point(rng.normal(size=body.dim))
-        val, x, y = ascend(x, y)
-        if val > best_val:
-            best_val, best_x, best_y = val, x, y
-
+    x = polar.boundary_point(rng.normal(size=(CJ_SAMPLES, body.dim)))
+    y = polar.support_point(frame.apply_j(x))
+    val = frame.omega(x, y)
+    sample_max = float(val.max())
+    for _ in range(CJ_ROUNDS):
+        x = polar.support_point(-frame.apply_j(y))
+        y = polar.support_point(frame.apply_j(x))
+        new = frame.omega(x, y)
+        grew = (new - val > 1e-15 * np.maximum(1.0, np.abs(new))).any()
+        val = new
+        if not grew:
+            break
+    best = int(np.argmax(val))
+    best_val = float(val[best])
     if best_val <= 0:
         raise NonConvexParameters("could not find a positive omega pair")
     return CapacityResult(
         value=1.0 / best_val,
         method=METHOD_MULTISTART,
-        witness=(best_x, best_y),
+        witness=(x[best].copy(), y[best].copy()),
         diagnostics={
             "omega_max": best_val,
             "sample_lower_bound": sample_max,
-            "samples": int(samples),
-            "restarts": int(restarts),
+            "samples": CJ_SAMPLES,
         },
     )
 

@@ -95,6 +95,8 @@ class DiscreteLoop:
             raise SpecParseError(f"malformed loop description: {exc}") from exc
         if dim % 2 != 0:
             raise SpecParseError(f"loop dim must be even, got {dim}")
+        if not np.isfinite(vertices).all():
+            raise SpecParseError("loop vertices must be finite")
         return cls(SymplecticFrame(dim // 2), vertices)
 
 

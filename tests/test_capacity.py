@@ -2,12 +2,14 @@ import importlib.resources
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from symcap.capacity import (
     MAX_POINTS,
+    MAX_RESTARTS,
     METHOD_CLARKE,
     METHOD_ELLIPSOID_EIGEN,
     METHOD_EXACT_SPECTRAL,
@@ -43,8 +45,10 @@ from symcap.symplectic import SymplecticFrame
 from helpers import (
     fixture_bodies,
     fourier_loop,
+    random_spd_matrix,
     random_symmetric_polytope,
     random_symplectic_matrix,
+    reference_c_j_ascent,
     reference_functional_with_grad,
     regular_polygon,
 )
@@ -199,6 +203,9 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(points=MAX_POINTS + 1)
     assert OptimizerConfig(points=MAX_POINTS).points == MAX_POINTS
+    with pytest.raises(ValueError):
+        OptimizerConfig(restarts=MAX_RESTARTS + 1)
+    assert OptimizerConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
 
 
 SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
@@ -449,7 +456,7 @@ def test_c_j_polytope_vertex_pairs_vs_general_path():
     for _ in range(5):
         body = random_symmetric_polytope(rng, 4, n_pairs=int(rng.integers(5, 11)))
         exact = c_j(body)
-        opt = c_j(body, method="optimize", restarts=24, samples=1024, seed=11)
+        opt = c_j(body, method="optimize", seed=11)
         assert opt.method == METHOD_MULTISTART
         assert opt.value == pytest.approx(exact.value, rel=1e-6)
         assert opt.diagnostics["sample_lower_bound"] <= (
@@ -460,14 +467,12 @@ def test_c_j_polytope_vertex_pairs_vs_general_path():
 def test_c_j_spectral_vs_general_path():
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
     exact = c_j(body)
-    opt = c_j(body, method="optimize", restarts=16, samples=2048, seed=12)
+    opt = c_j(body, method="optimize", seed=12)
     assert opt.value == pytest.approx(exact.value, rel=1e-9)
 
 
 def test_c_j_shifted_ellipsoid_general_path():
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1])
-    with pytest.raises(NonConvexParameters):
-        c_j(body, method="exact")
     res = c_j(body, seed=13)
     assert res.method == METHOD_MULTISTART
     # the witness pair certifies the value: both in the polar, omega attained
@@ -494,9 +499,65 @@ def test_c_j_smooth_non_ellipsoid():
     assert res.value == pytest.approx(1.0, rel=1e-6)
 
 
+def _ascent_bodies():
+    """(name, body, exact c_J or None) for the ascent comparisons."""
+    rng = np.random.default_rng(17)
+    w4 = np.array([1.0, 1.3, 0.8, 1.1])
+    out = [(f"lp{p}", lp_ball(p, w4), None) for p in (1.1, 1.5, 2, 3, 4, 6, 10, 40)]
+    w6 = np.array([1.0, 0.9, 1.2, 1.1, 1.0, 0.7])
+    spd = random_spd_matrix(rng, 6)
+    e12 = Ellipsoid.from_radii([1, 2, 1, 2], center=[0.2, 0, 0, 0.1])
+    shifted_ball = Ellipsoid.from_radii([1, 1, 1, 1], center=[0, 0.3, 0.1, 0])
+    out += [
+        ("lp4-d6", lp_ball(4.0, w6), None),
+        ("shifted-e12", e12, None),
+        ("shifted-ball", shifted_ball, None),
+        ("shifted-spd6", Ellipsoid(spd, center=0.1 * rng.normal(size=6)), None),
+    ]
+    for name, body in [
+        ("e12", Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])),
+        ("cube", cube(4)),
+        ("cross", lp_ball(1, np.ones(4))),
+        ("polytope", random_symmetric_polytope(rng, 4, n_pairs=7)),
+    ]:
+        out.append((name, body, c_j(body).value))
+    return out
+
+
+def test_c_j_ascent_matches_or_beats_the_pair_matrix_reference():
+    for name, body, exact in _ascent_bodies():
+        frame = frame_for(body)
+        for seed in range(3):
+            res = c_j(body, method="optimize", seed=seed)
+            ref = reference_c_j_ascent(
+                body, frame, 16, 2048, np.random.default_rng(seed)
+            )
+            top = res.diagnostics["omega_max"]
+            assert top >= ref.diagnostics["omega_max"] * (1 - 1e-15), (name, seed)
+            assert res.diagnostics["sample_lower_bound"] <= top, (name, seed)
+            assert res.value == 1.0 / top
+            x, y = res.witness
+            assert frame.omega(x, y) == pytest.approx(top, rel=1e-15)
+            if exact is not None:
+                assert res.value == pytest.approx(exact, rel=1e-9), (name, seed)
+
+
+def test_c_j_ascent_allocates_no_pair_matrix():
+    body = lp_ball(4, np.ones(4))
+    c_j(body, seed=1)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        c_j(body, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_c_j_method_validation():
-    with pytest.raises(ValueError):
-        c_j(ball(4), method="bogus")
+    for method in ("bogus", "exact"):
+        with pytest.raises(ValueError):
+            c_j(ball(4), method=method)
     with pytest.raises(DimensionMismatch):
         c_j(ball(3))
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from symcap import verify
@@ -334,6 +335,7 @@ def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
         ("points", "2", "need at least 3 loop points"),
         ("points", "49", "symmetric mode needs an even number of points"),
         ("restarts", "-1", "need at least 1 restart"),
+        ("restarts", "65537", "at most 65536 restarts, got 65537"),
         (
             "girth_samples",
             "63",
@@ -341,7 +343,7 @@ def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
         ),
     ],
     ids=["fraction", "bool", "string", "overflow", "too-few-points", "odd-points",
-         "negative-restarts", "odd-samples"],
+         "negative-restarts", "too-many-restarts", "odd-samples"],
 )
 def test_verify_bad_profile_value_exits_2_before_any_body(
     tmp_path, capsys, monkeypatch, key, raw, message
@@ -391,6 +393,7 @@ def test_usage_errors_exit_2(capsys):
         ["flow", "--start", "nan,0", "--tmax", "1"],
         ["flow", "--start", "inf,0", "--tmax", "1"],
         ["capacity", "--points", "1000000000", "--restarts", "1"],
+        ["capacity", "--restarts", "1000000000"],
         ["girth", "--samples", "1000000000"],
         ["flow", "--start", "1,0", "--tmax", "nan"],
         ["flow", "--start", "1,0", "--tmax", "inf"],
@@ -417,6 +420,7 @@ def test_usage_errors_exit_2(capsys):
         "start-nan",
         "start-inf",
         "too-many-points",
+        "too-many-restarts",
         "too-many-samples",
         "tmax-nan",
         "tmax-inf",
@@ -466,6 +470,20 @@ def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["symmetrize", loop, "--body", body])
     assert code == 2
     assert err == "error: loop has dimension 2, norm body has dimension 4\n"
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+def test_symmetrize_non_finite_vertex_exits_2(tmp_path, capsys, bad):
+    t = 2.0 * math.pi * np.arange(16) / 16
+    vertices = np.stack([np.cos(t), 0 * t, np.sin(t), 0 * t], axis=1)
+    vertices[5, 2] = bad
+    loop = write_json(tmp_path, "loop.json", {"dim": 4, "vertices": vertices.tolist()})
+    body = write_json(tmp_path, "ball4.json", BALL4)
+    code, _, err = run_cli(capsys, ["symmetrize", loop, "--body", body])
+    assert code == 2
+    assert err == "error: loop vertices must be finite\n"
 
 
 @pytest.mark.parametrize(
