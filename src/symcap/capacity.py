@@ -100,8 +100,9 @@ class OptimizerConfig:
     (W = -I) when it is centrally symmetric, and none (order 1) on an
     asymmetric body.  The order must divide ``points``; otherwise the next
     lower one is used.  ``points`` is the loop size of the last continuation
-    level: each restart also solves coarser loops or smoother supports first
-    (``clarke_minimize``), on a fixed schedule that has no knob here.
+    level: every restart solves coarser loops or smoother supports first, and
+    only the leading one runs the last level (``clarke_minimize``), on a fixed
+    schedule that has no knob here.
     """
 
     seed: int = 0
@@ -349,10 +350,15 @@ def clarke_minimize(
 
     Multistart quasi-Newton descent on the vertex coordinates of the loops
     with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
-    N/m vertices are free.  Each restart runs the levels of ``_levels`` in
-    turn, each warm-started from the last: on a polytope the smoothing
-    exponent p = 40, 160, ..., 10240 at N points, on a smooth body N/8,
-    N/4, N/2 and N points, each finer loop seeded by ``_refine``.  A
+    N/m vertices are free.  The restarts run the levels of ``_levels``
+    together, each warm-started from its own last iterate: on a polytope the
+    smoothing exponent p = 40, 160, ..., 10240 at N points, on a smooth body
+    N/8, N/4, N/2 and N points, each finer loop seeded by ``_refine``.  Only
+    the restart with the least exact value after the second-to-last level
+    (the first on ties) runs the last one (diagnostics ``levels_run``); the
+    others are carried to N points by ``_refine``, which keeps their value.
+    (A polytope's smoothed value ranks worse: at p = 2560 the cross-polytope's
+    restarts agree in it to 1e-7 and differ in the exact value by 1e-4.)  A
     translated ellipsoid is solved on its centered copy, whose symmetry may
     be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to zero,
     so the functional is the same.  The reported value re-evaluates the
@@ -375,11 +381,12 @@ def clarke_minimize(
         )
         return val, grad.ravel()
 
-    best_x = None
-    best_val = math.inf
-    restart_values = []
-    iterations = []
-    converged_flags = []
+    def full_loop(y):
+        while m * len(y) < n_pts:
+            y = _refine(frame, y, m)
+        return np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
+
+    ys = []
     for rng in spawn_rngs(config.seed, config.restarts):
         for _ in range(10):
             x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
@@ -394,13 +401,22 @@ def clarke_minimize(
             [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],
             axis=0,
         )
-        nit = 0
-        for n, p, max_iterations in levels:
-            if n > m * len(y):
-                y = _refine(frame, y, m)
-            res = minimize(
+        ys.append(y)
+    results = [None] * config.restarts
+    iterations = [0] * config.restarts
+    levels_run = [0] * config.restarts
+    racing = range(config.restarts)
+    for level, (n, p, max_iterations) in enumerate(levels):
+        if level and level == len(levels) - 1:
+            racing = [
+                min(racing, key=lambda k: clarke_functional(body, full_loop(ys[k])))
+            ]
+        for k in racing:
+            if n > m * len(ys[k]):
+                ys[k] = _refine(frame, ys[k], m)
+            res = results[k] = minimize(
                 objective,
-                y.ravel(),
+                ys[k].ravel(),
                 args=(p,),
                 jac=True,
                 method="L-BFGS-B",
@@ -408,16 +424,13 @@ def clarke_minimize(
                     maxiter=max_iterations, ftol=F_RTOL, gtol=G_TOL, maxcor=20
                 ),
             )
-            y = res.x.reshape(-1, frame.dim)
-            nit += int(res.nit)
-        x_final = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
-        value = clarke_functional(body, x_final)
-        restart_values.append(value)
-        iterations.append(nit)
-        converged_flags.append(bool(res.success))
-        if value < best_val:
-            best_val = value
-            best_x = x_final
+            ys[k] = res.x.reshape(-1, frame.dim)
+            iterations[k] += int(res.nit)
+            levels_run[k] += 1
+
+    loops = [full_loop(y) for y in ys]
+    restart_values = [clarke_functional(body, x) for x in loops]
+    best_x = loops[int(np.argmin(restart_values))]
 
     # orient positively and rescale the witness to unit action
     act = float(frame.polygon_action(best_x))
@@ -429,7 +442,8 @@ def clarke_minimize(
     diagnostics = {
         "restart_values": restart_values,
         "iterations": iterations,
-        "converged": converged_flags,
+        "converged": [bool(res.success) for res in results],
+        "levels_run": levels_run,
         "points": n_pts,
         "symmetric": config.symmetric,
         "symmetry_order": m,

@@ -17,6 +17,7 @@ from scipy.optimize import linprog, minimize, nnls, root
 from .errors import (
     DegenerateLoop,
     DimensionMismatch,
+    InvalidParameter,
     OptimizerDidNotConverge,
     SpecParseError,
     TooFewVertices,
@@ -42,6 +43,8 @@ class DiscreteLoop:
             )
         if v.shape[0] < 3:
             raise TooFewVertices(f"a loop needs at least 3 vertices, got {v.shape[0]}")
+        if not np.isfinite(v).all():
+            raise InvalidParameter("loop vertices must be finite")
         self.vertices = v
 
     def __len__(self):

@@ -14,6 +14,7 @@ body, loop and suite files, the suite and its profiles, the report columns.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -175,16 +176,14 @@ def write_reports(records, out_dir, seed, profile, tol, timings=False):
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
 
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        row = []
-        for col in CSV_COLUMNS:
-            value = getattr(rec, col)
-            if col == "wall_time_s" and not timings:
-                value = None
-            row.append(fmt(value))
-        lines.append(",".join(row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow(
+                "" if col == "wall_time_s" and not timings else fmt(getattr(rec, col))
+                for col in CSV_COLUMNS
+            )
 
     payload = {
         "seed": seed,

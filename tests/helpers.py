@@ -2,21 +2,41 @@
 
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 from scipy.sparse.csgraph import dijkstra
 
-from symcap.capacity import METHOD_MULTISTART, CapacityResult, clarke_edge_norm
+from symcap._util import spawn_rngs
+from symcap.capacity import (
+    F_RTOL,
+    G_TOL,
+    METHOD_CLARKE,
+    METHOD_MULTISTART,
+    CapacityResult,
+    OptimizerConfig,
+    _functional_with_grad,
+    _levels,
+    _planar_ellipse_init,
+    _refine,
+    calibration_self_test,
+    clarke_edge_norm,
+    clarke_functional,
+    frame_for,
+    symmetry_order,
+)
 from symcap.characteristics import Trajectory
 from symcap.errors import (
     GradientUndefinedAtZero,
     NonConvexParameters,
     NotSmoothBody,
     StepUnstable,
+    ZeroActionStart,
 )
 from symcap.geometry import (
+    ConvexBody,
     Ellipsoid,
     LpBall,
     Polytope,
@@ -576,4 +596,109 @@ def reference_c_j_ascent(body, frame, restarts, samples, rng) -> CapacityResult:
             "samples": int(samples),
             "restarts": int(restarts),
         },
+    )
+
+
+# The restart-major Clarke solve that the level-major race of
+# ``capacity.clarke_minimize`` replaced: every restart runs every level.  The
+# race's leading restart must reproduce its entry bit for bit.
+
+def reference_clarke_minimize(
+    body: ConvexBody, config: Optional[OptimizerConfig] = None
+) -> CapacityResult:
+    """Minimize the dual action functional over discrete loops.
+
+    Multistart quasi-Newton descent on the vertex coordinates of the loops
+    with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
+    N/m vertices are free.  Each restart runs the levels of ``_levels`` in
+    turn, each warm-started from the last: on a polytope the smoothing
+    exponent p = 40, 160, ..., 10240 at N points, on a smooth body N/8,
+    N/4, N/2 and N points, each finer loop seeded by ``_refine``.  A
+    translated ellipsoid is solved on its centered copy, whose symmetry may
+    be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to zero,
+    so the functional is the same.  The reported value re-evaluates the
+    best full loop on the body itself with the exact support function, so
+    it is always a genuine discrete upper bound; for polytopes the smoothed
+    value of the last level is kept in the diagnostics.
+    """
+    calibration_self_test()
+    config = config or OptimizerConfig()
+    frame = frame_for(body)
+    n_pts = config.points
+    solve_body = Ellipsoid(body.matrix) if isinstance(body, Ellipsoid) else body
+    m = symmetry_order(solve_body, config)
+    levels = _levels(solve_body, n_pts, m)
+    scale = 0.5 * solve_body.outer_radius()
+
+    def objective(flat, p):
+        val, grad = _functional_with_grad(
+            solve_body, flat.reshape(-1, frame.dim), m, p
+        )
+        return val, grad.ravel()
+
+    best_x = None
+    best_val = math.inf
+    restart_values = []
+    iterations = []
+    converged_flags = []
+    for rng in spawn_rngs(config.seed, config.restarts):
+        for _ in range(10):
+            x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
+            if abs(frame.polygon_action(x0)) > 1e-10 * scale**2:
+                break
+        else:
+            raise ZeroActionStart("could not draw a start with nonzero action")
+        if frame.polygon_action(x0) < 0:
+            x0 = x0[::-1].copy()
+        # the W-invariant part of the start: sum_j W^-j x0_j / m over blocks
+        y = np.mean(
+            [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],
+            axis=0,
+        )
+        nit = 0
+        for n, p, max_iterations in levels:
+            if n > m * len(y):
+                y = _refine(frame, y, m)
+            res = minimize(
+                objective,
+                y.ravel(),
+                args=(p,),
+                jac=True,
+                method="L-BFGS-B",
+                options=dict(
+                    maxiter=max_iterations, ftol=F_RTOL, gtol=G_TOL, maxcor=20
+                ),
+            )
+            y = res.x.reshape(-1, frame.dim)
+            nit += int(res.nit)
+        x_final = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
+        value = clarke_functional(body, x_final)
+        restart_values.append(value)
+        iterations.append(nit)
+        converged_flags.append(bool(res.success))
+        if value < best_val:
+            best_val = value
+            best_x = x_final
+
+    # orient positively and rescale the witness to unit action
+    act = float(frame.polygon_action(best_x))
+    if act < 0:
+        best_x = best_x[::-1].copy()
+        act = -act
+    witness = DiscreteLoop(frame, best_x / math.sqrt(act))
+    value = clarke_functional(body, witness)
+    diagnostics = {
+        "restart_values": restart_values,
+        "iterations": iterations,
+        "converged": converged_flags,
+        "points": n_pts,
+        "symmetric": config.symmetric,
+        "symmetry_order": m,
+    }
+    if not body.is_smooth:
+        last_p = levels[-1][1]
+        diagnostics["smoothing_p"] = last_p
+        diagnostics["smoothed_value"] = clarke_functional(body, witness, last_p)
+    return CapacityResult(
+        value=value, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
     )

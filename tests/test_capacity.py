@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symcap import capacity
 from symcap.capacity import (
     MAX_POINTS,
     MAX_RESTARTS,
@@ -49,6 +50,7 @@ from helpers import (
     random_symmetric_polytope,
     random_symplectic_matrix,
     reference_c_j_ascent,
+    reference_clarke_minimize,
     reference_functional_with_grad,
     regular_polygon,
 )
@@ -389,6 +391,71 @@ def test_refine_is_the_midpoints_of_the_continued_loop(m):
     # the refined free vertices continue by W as the coarse ones did
     cont = np.vstack([frame.root_multiply(m, j, refined) for j in range(m)])
     assert cont.tobytes() == expected.tobytes()
+
+
+RACE_BODIES = {
+    "ball4": ball(4),
+    "e12": Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]),
+    "l4": lp_ball(4, np.ones(4)),
+    "cube": cube(4),
+    "cross": lp_ball(1, np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("points", [32, 64])
+@pytest.mark.parametrize("name", RACE_BODIES)
+def test_clarke_race_matches_the_reference(name, points):
+    # only the restart that leads after the second-to-last level runs the
+    # last one; it follows the restart-major solve bit for bit, and the
+    # pruned restarts still compete with their refined iterates
+    body = RACE_BODIES[name]
+    for seed in range(3):
+        config = OptimizerConfig(seed=seed, restarts=3, points=points)
+        res = clarke_minimize(body, config)
+        ref = reference_clarke_minimize(body, config)
+        n_levels = len(_levels(body, points, symmetry_order(body, config)))
+        levels_run = res.diagnostics["levels_run"]
+        assert n_levels > 1
+        leaders = [k for k, n in enumerate(levels_run) if n == n_levels]
+        assert len(leaders) == 1
+        k = leaders[0]
+        values = res.diagnostics["restart_values"]
+        assert values[k] == ref.diagnostics["restart_values"][k]
+        assert res.value <= ref.value * (1 + 1e-5)
+        assert min(values) == pytest.approx(res.value, rel=1e-12)
+        assert len(res.witness) == points
+
+
+@pytest.mark.parametrize(
+    "body, points, symmetric, n_levels",
+    [
+        (cube(2), 16, False, 5),  # the smoothing levels
+        (ball(4), 64, False, 4),  # 8, 16, 32 and 64 points
+        (ball(4), 16, True, 1),  # m = 4: 8 points would be below 4m
+    ],
+)
+def test_clarke_last_level_runs_once(monkeypatch, body, points, symmetric, n_levels):
+    calls = []
+    minimize = capacity.minimize
+
+    def counting_minimize(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "minimize", counting_minimize)
+    config = OptimizerConfig(points=points, restarts=3, symmetric=symmetric)
+    res = clarke_minimize(body, config)
+    assert len(_levels(body, points, symmetry_order(body, config))) == n_levels
+    if n_levels == 1:
+        assert len(calls) == 3
+        assert res.diagnostics["levels_run"] == [1, 1, 1]
+    else:
+        assert len(calls) == 3 * (n_levels - 1) + 1
+        assert sorted(res.diagnostics["levels_run"]) == [
+            n_levels - 1, n_levels - 1, n_levels
+        ]
+    assert len(res.diagnostics["converged"]) == 3
+    assert len(res.witness) == points
 
 
 def test_clarke_shifted_ellipsoid_solves_centered():

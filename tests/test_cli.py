@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -250,6 +251,34 @@ def test_verify_gates_ellipsoid_clarke_on_both_sides(
         assert status.startswith("error: CalibrationError: clarke ")
     else:
         assert status == "ok"
+
+
+def test_verify_csv_quotes_fields_with_commas(tmp_path, capsys, monkeypatch):
+    # an id with a comma and a quote, and the ellipsoid gate's
+    # "outside [a, b]" status, each stay one field
+    def clarke_at(body, config):
+        return CapacityResult(ellipsoid_ehz_exact(body).value * 1.01, "stub")
+
+    monkeypatch.setattr(verify, "clarke_minimize", clarke_at)
+    odd = dict(BALL2, id='odd,"id"')
+    suite = write_json(
+        tmp_path, "suite.json", {"bodies": [odd, BALL2], "profiles": TINY_PROFILE}
+    )
+    out_dir = tmp_path / "reports"
+    assert run_cli(
+        capsys, ["verify", suite, "--out", str(out_dir), "--profile", "tiny"]
+    )[0] == 1
+    with (out_dir / "report.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3
+    assert rows[0] == CSV_COLUMNS
+    records = json.loads((out_dir / "report.json").read_text())["records"]
+    for row, record in zip(rows[1:], records):
+        fields = dict(zip(CSV_COLUMNS, row))
+        assert fields["body_id"] == record["body_id"]
+        assert fields["status"] == record["status"]
+        assert ", " in fields["status"]
+    assert rows[1][0] == 'odd,"id"'
 
 
 def test_verify_empty_suite_writes_header_only(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from symcap.errors import (
     DegenerateLoop,
     DimensionMismatch,
+    InvalidParameter,
     OptimizerDidNotConverge,
     SpecParseError,
     TooFewVertices,
@@ -46,6 +47,18 @@ def test_construction_validation():
         DiscreteLoop.from_dict({"dim": 3, "vertices": [[0, 0, 0]] * 4})
     with pytest.raises(SpecParseError):
         DiscreteLoop.from_dict({"vertices": [[0, 0]] * 4})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertices_are_invalid(bad):
+    frame = SymplecticFrame(2)
+    v = regular_polygon(frame, 16)
+    v[3, 1] = bad
+    with pytest.raises(InvalidParameter, match="finite"):
+        DiscreteLoop(frame, v)
+    # a loop file keeps its parse error
+    with pytest.raises(SpecParseError, match="finite"):
+        DiscreteLoop.from_dict({"dim": 4, "vertices": v.tolist()})
 
 
 def test_circle_action_inscribed_formula():
