@@ -13,10 +13,10 @@ def as_rng(seed=None):
 
 
 def spawn_rngs(seed, count):
-    """Deterministic independent child generators for multistart runs.
+    """Deterministic independent child generators, one per restart.
 
-    The children depend only on the seed and the index, never on scheduling,
-    so concurrent and serial execution produce identical streams.
+    Child k depends only on the seed and k, not on ``count``: asking for
+    more restarts leaves the streams of the first ones unchanged.
     """
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]

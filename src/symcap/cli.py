@@ -10,8 +10,10 @@ Each subcommand is a thin wrapper over one library operation:
 * ``verify``      batch inequality verification with reports
 
 All randomness flows from ``--seed`` (default 0), so repeated runs are
-bit-reproducible.  Usage errors exit with 2, numerical or verification
-failures with 1, success with 0.
+bit-reproducible.  A subcommand takes only the common flags it reads:
+``--seed`` where it draws random numbers, ``--tol`` where it checks margins
+and ``--json`` where it prints a result.  Usage errors exit with 2,
+numerical or verification failures with 1, success with 0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _load_loop(path):
 
 
 def _emit(args, payload, plain_line):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=float))
     else:
         print(plain_line)
@@ -58,10 +60,7 @@ def _cmd_cj(args):
 
 def _cmd_capacity(args):
     config = OptimizerConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        points=args.points,
-        symmetric=args.symmetric,
+        seed=args.seed, restarts=args.restarts, points=args.points
     )
     result = clarke_minimize(_load_body(args.body), config)
     _emit(args, result.to_dict(), fmt(result.value))
@@ -152,48 +151,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symcap",
         description="Capacity and curve-length estimation for convex bodies.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--tol", type=float, default=1e-2, help="margin tolerance")
-    common.add_argument(
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base random seed")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-2, help="margin tolerance")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
         "--json", action="store_true", help="emit a JSON document instead of text"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cj", parents=[common], help="pairing capacity c_J")
+    p = sub.add_parser("cj", parents=[seed, as_json], help="pairing capacity c_J")
     p.add_argument("body", help="body JSON file")
     p.set_defaults(func=_cmd_cj)
 
     p = sub.add_parser(
-        "capacity", parents=[common], help="Clarke dual capacity estimate"
+        "capacity", parents=[seed, as_json], help="Clarke dual capacity estimate"
     )
     p.add_argument("body", help="body JSON file")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--points", type=int, default=256)
-    p.add_argument(
-        "--symmetric",
-        action="store_true",
-        help="solve on loops with the body's own symmetry: order 4 when J "
-        "maps the body onto itself, 2 when it is centrally symmetric, none "
-        "on an asymmetric body",
-    )
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("symmetrize", parents=[common], help="symmetrize a loop")
+    p = sub.add_parser("symmetrize", parents=[as_json], help="symmetrize a loop")
     p.add_argument("loop", help="loop JSON file")
     p.add_argument("--body", required=True, help="norm body JSON file")
     p.add_argument("--m", type=int, default=2, help="symmetry order")
     p.add_argument("--out", help="write the outcome JSON here")
     p.set_defaults(func=_cmd_symmetrize)
 
-    p = sub.add_parser("girth", parents=[common], help="symmetric girth search")
+    p = sub.add_parser(
+        "girth", parents=[seed, tol, as_json], help="symmetric girth search"
+    )
     p.add_argument("body", help="body JSON file")
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--neighbors", type=int, default=12)
     p.set_defaults(func=_cmd_girth)
 
-    p = sub.add_parser("flow", parents=[common], help="characteristic flow")
+    p = sub.add_parser("flow", parents=[as_json], help="characteristic flow")
     p.add_argument("body", help="body JSON file")
     p.add_argument("--start", required=True, help="comma-separated start point")
     p.add_argument("--tmax", type=float, required=True)
@@ -201,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trajectory CSV path")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[seed, tol], help="run a verification suite")
     p.add_argument(
         "suite", nargs="?", default=None, help="suite JSON (default: packaged suite)"
     )
@@ -222,9 +218,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
-        if not math.isfinite(args.tol):
+        if "tol" in args and not math.isfinite(args.tol):
             raise InvalidParameter(f"--tol must be finite, got {args.tol}")
         return args.func(args)
     except (SpecParseError, InvalidParameter) as exc:

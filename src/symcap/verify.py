@@ -130,7 +130,6 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
             seed=record.seed,
             restarts=profile_params["restarts"],
             points=profile_params["points"],
-            symmetric=True,
         )
         clarke_res = clarke_minimize(body, config)
         record.clarke = clarke_res.value
@@ -238,9 +237,7 @@ def run_verify(
                 f"profile {profile!r}: {key} must be an integer, got {params[key]!r}"
             )
     try:  # the rules the solve and the girth search apply, checked up front
-        OptimizerConfig(
-            restarts=params["restarts"], points=params["points"], symmetric=True
-        )
+        OptimizerConfig(restarts=params["restarts"], points=params["points"])
         check_sample_count(params["girth_samples"])
     except InvalidParameter as exc:
         raise InvalidParameter(f"profile {profile!r}: {exc}") from None

@@ -200,8 +200,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(points=2)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
+    # every solve keeps the body's symmetry, and an odd count solves at m = 1
     with pytest.raises(ValueError):
-        OptimizerConfig(points=31, symmetric=True)
+        OptimizerConfig(symmetric=False)
+    assert OptimizerConfig(points=31).points == 31
     with pytest.raises(ValueError):
         OptimizerConfig(points=MAX_POINTS + 1)
     assert OptimizerConfig(points=MAX_POINTS).points == MAX_POINTS
@@ -241,12 +243,10 @@ SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
     ],
 )
 def test_symmetry_order_per_body_class(body, order):
-    assert symmetry_order(body, OptimizerConfig(points=64, symmetric=True)) == order
-    assert symmetry_order(body, OptimizerConfig(points=64)) == 1
+    assert symmetry_order(body, OptimizerConfig(points=64)) == order
     # the order divides the point count
-    assert symmetry_order(body, OptimizerConfig(points=66, symmetric=True)) == min(
-        order, 2
-    )
+    assert symmetry_order(body, OptimizerConfig(points=66)) == min(order, 2)
+    assert symmetry_order(body, OptimizerConfig(points=63)) == 1
 
 
 SUITE = importlib.resources.files("symcap") / "data" / "default_suite.json"
@@ -256,15 +256,18 @@ SYMMETRIC_SUITE = [
 
 
 @pytest.mark.parametrize("entry", SYMMETRIC_SUITE, ids=lambda entry: entry["id"])
-def test_symmetric_solve_is_no_worse_than_the_full_solve(entry):
+def test_symmetric_solve_is_no_worse_than_the_full_solve(monkeypatch, entry):
     # the restriction to W-invariant loops loses nothing in the continuum;
-    # a wrong W, factor or gradient would raise the re-evaluated value
+    # a wrong W, factor or gradient would raise the re-evaluated value above
+    # that of the same solve on all N free vertices
     body = body_from_dict(entry)
     for seed in (0, 1):
-        full = clarke_minimize(body, OptimizerConfig(points=64, restarts=1, seed=seed))
-        reduced = clarke_minimize(
-            body, OptimizerConfig(points=64, restarts=1, seed=seed, symmetric=True)
-        )
+        config = OptimizerConfig(points=64, restarts=1, seed=seed)
+        reduced = clarke_minimize(body, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(capacity, "symmetry_order", lambda body, config: 1)
+            full = clarke_minimize(body, config)
+        assert full.diagnostics["symmetry_order"] == 1
         assert reduced.diagnostics["symmetry_order"] == 4
         assert reduced.value <= full.value * (1.0 + 1e-3)
         if isinstance(body, Ellipsoid):
@@ -330,10 +333,7 @@ def test_clarke_six_dimensional_ellipsoid():
 
 
 def test_clarke_symmetric_mode(clarke_ball4):
-    res = clarke_minimize(
-        ball(4), OptimizerConfig(points=96, restarts=4, seed=6, symmetric=True)
-    )
-    assert res.diagnostics["symmetric"] is True
+    res = clarke_minimize(ball(4), OptimizerConfig(points=96, restarts=4, seed=6))
     half = res.witness.vertices[:48]
     assert np.allclose(res.witness.vertices[48:], -half, atol=1e-12)
     # the ball is J-invariant: x_(k + N/4) = J x_k, bit for bit
@@ -358,9 +358,7 @@ def test_clarke_polytope_reports_smoothed_value():
 def test_clarke_cube_is_within_1e3_of_its_capacity(seed):
     # c_EHZ([-1, 1]^4) = 4, attained by a 2-bounce billiard; the smoothing
     # continuation must reach it from above, and a value below it is a bug
-    res = clarke_minimize(
-        cube(4), OptimizerConfig(points=32, restarts=1, seed=seed, symmetric=True)
-    )
+    res = clarke_minimize(cube(4), OptimizerConfig(points=32, restarts=1, seed=seed))
     assert 4.0 * (1 - 1e-9) <= res.value <= 4.0 * (1 + 1e-3)
 
 
@@ -399,6 +397,7 @@ RACE_BODIES = {
     "l4": lp_ball(4, np.ones(4)),
     "cube": cube(4),
     "cross": lp_ball(1, np.ones(4)),
+    "simplex": SIMPLEX4,  # asymmetric: the solve at m = 1
 }
 
 
@@ -427,14 +426,14 @@ def test_clarke_race_matches_the_reference(name, points):
 
 
 @pytest.mark.parametrize(
-    "body, points, symmetric, n_levels",
+    "body, points, n_levels",
     [
-        (cube(2), 16, False, 5),  # the smoothing levels
-        (ball(4), 64, False, 4),  # 8, 16, 32 and 64 points
-        (ball(4), 16, True, 1),  # m = 4: 8 points would be below 4m
+        (cube(2), 16, 5),  # the smoothing levels
+        (ball(4), 64, 3),  # m = 4: 16, 32 and 64 points
+        (ball(4), 16, 1),  # m = 4: 8 points would be below 4m
     ],
 )
-def test_clarke_last_level_runs_once(monkeypatch, body, points, symmetric, n_levels):
+def test_clarke_last_level_runs_once(monkeypatch, body, points, n_levels):
     calls = []
     minimize = capacity.minimize
 
@@ -443,7 +442,7 @@ def test_clarke_last_level_runs_once(monkeypatch, body, points, symmetric, n_lev
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(capacity, "minimize", counting_minimize)
-    config = OptimizerConfig(points=points, restarts=3, symmetric=symmetric)
+    config = OptimizerConfig(points=points, restarts=3)
     res = clarke_minimize(body, config)
     assert len(_levels(body, points, symmetry_order(body, config))) == n_levels
     if n_levels == 1:
@@ -463,7 +462,7 @@ def test_clarke_shifted_ellipsoid_solves_centered():
     # solved on its J-invariant centered copy and gives the same value
     shifted = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1])
     centered = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
-    config = OptimizerConfig(points=64, restarts=2, seed=3, symmetric=True)
+    config = OptimizerConfig(points=64, restarts=2, seed=3)
     res = clarke_minimize(shifted, config)
     ref = clarke_minimize(centered, config)
     assert res.diagnostics["symmetry_order"] == 4

@@ -362,7 +362,6 @@ def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
         ("points", '"abc"', "points must be an integer, got 'abc'"),
         ("points", "1e400", "points must be an integer, got inf"),
         ("points", "2", "need at least 3 loop points"),
-        ("points", "49", "symmetric mode needs an even number of points"),
         ("restarts", "-1", "need at least 1 restart"),
         ("restarts", "65537", "at most 65536 restarts, got 65537"),
         (
@@ -371,7 +370,7 @@ def test_verify_incomplete_profile_exits_2(tmp_path, capsys, profiles, message):
             "n_samples must be an even number in [4, 65536] (antipodal pairing)",
         ),
     ],
-    ids=["fraction", "bool", "string", "overflow", "too-few-points", "odd-points",
+    ids=["fraction", "bool", "string", "overflow", "too-few-points",
          "negative-restarts", "too-many-restarts", "odd-samples"],
 )
 def test_verify_bad_profile_value_exits_2_before_any_body(
@@ -406,9 +405,47 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["capacity", "BODY", "--symmetric"],
+        ["cj", "BODY", "--tol", "1"],
+        ["capacity", "BODY", "--tol", "1"],
+        ["symmetrize", "BODY", "--body", "BODY", "--tol", "1"],
+        ["symmetrize", "BODY", "--body", "BODY", "--seed", "1"],
+        ["flow", "BODY", "--start", "1,0", "--tmax", "1", "--tol", "1"],
+        ["flow", "BODY", "--start", "1,0", "--tmax", "1", "--seed", "1"],
+        ["verify", "--json"],
+    ],
+    ids=[
+        "capacity-symmetric",
+        "cj-tol",
+        "capacity-tol",
+        "symmetrize-tol",
+        "symmetrize-seed",
+        "flow-tol",
+        "flow-seed",
+        "verify-json",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    with pytest.raises(SystemExit) as exc:
+        main([body if arg == "BODY" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_capacity_odd_points_solves_without_symmetry(tmp_path, capsys):
+    # the ball's orders 4 and 2 do not divide 9, so the solve is at m = 1
+    body = write_json(tmp_path, "ball4.json", BALL4)
+    code, out, _ = run_cli(capsys, ["capacity", body, "--points", "9", "--json"])
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["symmetry_order"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["capacity", "--points", "2"],
         ["capacity", "--restarts", "0"],
-        ["capacity", "--points", "9", "--symmetric"],
         ["girth", "--samples", "3"],
         ["girth", "--samples", "0"],
         ["girth", "--samples", "2"],
@@ -435,7 +472,6 @@ def test_usage_errors_exit_2(capsys):
     ids=[
         "too-few-points",
         "no-restarts",
-        "odd-symmetric-points",
         "odd-samples",
         "no-samples",
         "one-antipodal-pair",
