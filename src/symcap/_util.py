@@ -31,7 +31,7 @@ def random_unit_vector(rng, dim):
     return v / n
 
 
-def fmt(x, digits=12):
+def fmt(x):
     """Deterministic short decimal rendering used in reports."""
     if x is None:
         return ""
@@ -41,7 +41,7 @@ def fmt(x, digits=12):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), f".{digits}g")
+    return format(float(x), ".12g")
 
 
 def lexicographic_rank(rows):

@@ -345,6 +345,17 @@ def _refine(frame, y, m):
     return np.stack([y, 0.5 * (y + nxt)], axis=1).reshape(-1, y.shape[1])
 
 
+def _unit_action_loop(frame, x) -> DiscreteLoop:
+    """The loop x oriented positively and scaled to unit action, the form in
+    which every restart is evaluated and the witness reported."""
+    act = float(frame.polygon_action(x))
+    if act == 0.0:
+        raise ZeroActionStart("loop has zero symplectic action")
+    if act < 0:
+        x, act = x[::-1].copy(), -act
+    return DiscreteLoop(frame, x / math.sqrt(act))
+
+
 def clarke_minimize(
     body: ConvexBody, config: Optional[OptimizerConfig] = None
 ) -> CapacityResult:
@@ -364,10 +375,11 @@ def clarke_minimize(
     in the exact value by 1e-4.)  A translated ellipsoid is solved on its
     centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u) +
     <u, c> and the edges u_k sum to zero, so the functional is the same.
-    The reported value re-evaluates the best full loop on the body itself
-    with the exact support function, so it is always a genuine discrete
-    upper bound; for polytopes the smoothed value of the last level is kept
-    in the diagnostics.
+    Every restart's full loop is evaluated on the body itself with the
+    exact support function, oriented and at unit action
+    (``_unit_action_loop``), so each is a genuine discrete upper bound; the
+    least is the value, its loop the witness.  For polytopes the smoothed
+    value of the last level is kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
@@ -431,17 +443,10 @@ def clarke_minimize(
             iterations[k] += int(res.nit)
             levels_run[k] += 1
 
-    loops = [full_loop(y) for y in ys]
-    restart_values = [clarke_functional(body, x) for x in loops]
-    best_x = loops[int(np.argmin(restart_values))]
-
-    # orient positively and rescale the witness to unit action
-    act = float(frame.polygon_action(best_x))
-    if act < 0:
-        best_x = best_x[::-1].copy()
-        act = -act
-    witness = DiscreteLoop(frame, best_x / math.sqrt(act))
-    value = clarke_functional(body, witness)
+    loops = [_unit_action_loop(frame, full_loop(y)) for y in ys]
+    restart_values = [clarke_functional(body, loop) for loop in loops]
+    best = int(np.argmin(restart_values))
+    witness, value = loops[best], restart_values[best]
     diagnostics = {
         "restart_values": restart_values,
         "iterations": iterations,

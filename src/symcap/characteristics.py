@@ -64,7 +64,7 @@ def integrate_characteristic(
     Classical fourth-order Runge-Kutta with radial re-projection after each
     step.  Upward crossings of the start section are recorded with linearly
     interpolated crossing times; the first crossing that returns to within
-    1e-4 times the body diameter of the start fixes the period estimate.
+    1e-4 * 2 * outer_radius() of the start fixes the period estimate.
     """
     if not body.is_smooth:
         raise NotSmoothBody(
@@ -85,7 +85,7 @@ def integrate_characteristic(
     if t_max / step > MAX_STEPS:  # before the states are allocated
         raise InvalidParameter(f"t_max / step is {t_max / step!r}, above {MAX_STEPS}")
     n_steps = math.ceil(t_max / step)
-    closure_tol = 1e-4 * body.diameter()
+    closure_tol = 1e-4 * (2.0 * body.outer_radius())
 
     # J as a signed permutation: a product with +-1 is exact, signed zeros too
     labels = SymplecticFrame(body.dim // 2).apply_j(np.arange(1.0, body.dim + 1.0))

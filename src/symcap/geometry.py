@@ -70,9 +70,6 @@ class ConvexBody:
     def polar(self) -> "ConvexBody":  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def scale(self, s: float) -> "ConvexBody":  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _maps_onto_itself(self, m: int, w) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -127,13 +124,6 @@ class ConvexBody:
     def is_symmetric(self) -> bool:
         """K = -K, the case m = 2 of ``is_invariant``."""
         return self.is_invariant(2)
-
-    def contains(self, x, tol: float = 0.0):
-        return self.gauge(x) <= 1.0 + tol
-
-    def diameter(self) -> float:
-        """Cheap upper bound 2 * outer_radius, used only for tolerances."""
-        return 2.0 * self.outer_radius()
 
     def to_dict(self) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -244,11 +234,6 @@ class Ellipsoid(ConvexBody):
         k = 1.0 / one_e
         return Ellipsoid(q / k, center=center_p)
 
-    def scale(self, s: float) -> "Ellipsoid":
-        if s <= 0:
-            raise NonConvexParameters("scale factor must be positive")
-        return Ellipsoid(self.matrix / s**2, center=self.center * s)
-
     def _maps_onto_itself(self, m, w) -> bool:
         # centered, and W M W^T = M; at m = 2 and 4 both products are signed
         # copies of M, so there the comparison is exact
@@ -342,11 +327,6 @@ class LpBall(ConvexBody):
 
     def polar(self) -> "LpBall":
         return LpBall(self.q, 1.0 / self.weights)
-
-    def scale(self, s: float) -> "LpBall":
-        if s <= 0:
-            raise NonConvexParameters("scale factor must be positive")
-        return LpBall(self.p, self.weights * s)
 
     def _maps_onto_itself(self, m, w) -> bool:
         # beyond -I, W mixes each (q_i, p_i) pair, so the pair needs equal
@@ -499,13 +479,6 @@ class Polytope(ConvexBody):
         if self.kind == "polytope_v":
             return Polytope(normals=self.vertices, offsets=np.ones(len(self.vertices)))
         return Polytope(vertices=self._facet_grads)
-
-    def scale(self, s: float) -> "Polytope":
-        if s <= 0:
-            raise NonConvexParameters("scale factor must be positive")
-        if self.kind == "polytope_v":
-            return Polytope(vertices=self.vertices * s)
-        return Polytope(normals=self.normals, offsets=self.offsets * s)
 
     def _maps_onto_itself(self, m, w) -> bool:
         v = self.vertices

@@ -288,7 +288,7 @@ def symmetric_girth(
     # the final path vertex is the antipode -half[0], which the half-curve
     # representation keeps implicit, so it is dropped after resampling
     half = resample_polyline(
-        half, lambda e: np.linalg.norm(e, axis=-1), REFINE_POINTS + 1, closed=False
+        half, lambda e: np.linalg.norm(e, axis=-1), REFINE_POINTS + 1
     )[:-1]
     half = body.boundary_point(half)
     half, half_len = refine_symmetric_half(body, half)
@@ -320,7 +320,7 @@ def check_schaffer_bound(body: ConvexBody, loop) -> dict:
         loop.vertices if isinstance(loop, DiscreteLoop) else loop, dtype=float
     )
     n = len(vertices)
-    diameter = body.diameter()
+    diameter = 2.0 * body.outer_radius()
     if n % 2 != 0:
         raise LoopNotSymmetric("symmetric loops need an even vertex count")
     defect = float(

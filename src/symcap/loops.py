@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameter,
     OptimizerDidNotConverge,
     SpecParseError,
+    SymcapError,
     TooFewVertices,
 )
 from .geometry import ConvexBody, Polytope
@@ -57,34 +58,15 @@ class DiscreteLoop:
     def action(self) -> float:
         return float(self.frame.polygon_action(self.vertices))
 
-    def translated(self, t) -> "DiscreteLoop":
-        return DiscreteLoop(self.frame, self.vertices + np.asarray(t, dtype=float))
-
     def scaled(self, s: float) -> "DiscreteLoop":
         return DiscreteLoop(self.frame, self.vertices * float(s))
 
-    def reversed(self) -> "DiscreteLoop":
-        return DiscreteLoop(self.frame, self.vertices[::-1].copy())
-
-    def normalize(self, rel_tol: float = 1e-12) -> "DiscreteLoop":
+    def normalize(self) -> "DiscreteLoop":
         """Drop consecutive duplicate vertices (cyclically)."""
-        v = self.vertices
-        scale = max(1.0, float(np.abs(v).max()))
-        diff = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        keep = diff > rel_tol * scale
-        # keep[i] False means vertex i+1 duplicates vertex i, so drop i+1
-        mask = np.ones(len(v), dtype=bool)
-        mask[(np.nonzero(~keep)[0] + 1) % len(v)] = False
-        out = v[mask]
+        out = self.vertices[~_repeats_previous(self.vertices)]
         if out.shape[0] < 3:
             raise DegenerateLoop("loop collapses to fewer than 3 distinct vertices")
         return DiscreteLoop(self.frame, out)
-
-    def has_consecutive_duplicates(self, rel_tol: float = 1e-12) -> bool:
-        v = self.vertices
-        scale = max(1.0, float(np.abs(v).max()))
-        diff = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        return bool(np.any(diff <= rel_tol * scale))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "vertices": self.vertices.tolist()}
@@ -94,13 +76,14 @@ class DiscreteLoop:
         try:
             dim = int(obj["dim"])
             vertices = np.asarray(obj["vertices"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"malformed loop description: {exc}") from exc
-        if dim % 2 != 0:
-            raise SpecParseError(f"loop dim must be even, got {dim}")
-        if not np.isfinite(vertices).all():
-            raise SpecParseError("loop vertices must be finite")
-        return cls(SymplecticFrame(dim // 2), vertices)
+        if dim < 2 or dim % 2 != 0:
+            raise SpecParseError(f"loop dim must be even and positive, got {dim}")
+        try:
+            return cls(SymplecticFrame(dim // 2), vertices)
+        except SymcapError as exc:  # wrong shape, too few vertices, not finite
+            raise SpecParseError(str(exc)) from exc
 
 
 def closed_length(vertices, norm_fn) -> float:
@@ -108,11 +91,18 @@ def closed_length(vertices, norm_fn) -> float:
     return float(np.sum(norm_fn(np.roll(vertices, -1, axis=0) - vertices)))
 
 
+def _repeats_previous(v):
+    """Whether each vertex lies within 1e-12 * max(1, max |x|) of the one
+    before it, cyclically: the duplicates ``normalize`` drops."""
+    scale = max(1.0, float(np.abs(v).max()))
+    return np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1) <= 1e-12 * scale
+
+
 def gauge_length(loop: DiscreteLoop, body: ConvexBody) -> float:
     """Total gauge length sum_i g_K(x_{i+1} - x_i) around the loop."""
     if body.dim != loop.dim:
         raise DimensionMismatch("loop and body dimensions differ")
-    if loop.has_consecutive_duplicates():
+    if _repeats_previous(loop.vertices).any():
         raise DegenerateLoop("consecutive duplicate vertices; call normalize first")
     return closed_length(loop.vertices, body.gauge)
 
@@ -121,18 +111,15 @@ def gauge_length(loop: DiscreteLoop, body: ConvexBody) -> float:
 # Arclength cuts shared by resampling, splitting and symmetrization
 # ---------------------------------------------------------------------------
 
-def _cumulative_lengths(vertices, norm_fn, closed):
-    """Vertices as an array and the norm arclength at each polyline vertex;
-    a closed polyline's last entry is the length back at vertex 0."""
-    v = np.asarray(vertices, dtype=float)
-    heads = np.roll(v, -1, axis=0) if closed else v[1:]
-    lens = np.asarray(norm_fn(heads - v[: len(heads)]), dtype=float)
+def _cumulative_lengths(v, norm_fn):
+    """The norm arclength at each vertex of the open polyline v."""
+    lens = np.asarray(norm_fn(v[1:] - v[:-1]), dtype=float)
     total = float(lens.sum())
     if total <= 0:
         raise DegenerateLoop("polyline has zero total length")
     cumlen = np.concatenate([[0.0], np.cumsum(lens)])
     cumlen[-1] = total
-    return v, cumlen
+    return cumlen
 
 
 def _points_at(v, cumlen, s):
@@ -141,23 +128,16 @@ def _points_at(v, cumlen, s):
     seg = cumlen[idx + 1] - cumlen[idx]
     t = np.divide(s - cumlen[idx], seg, out=np.zeros(len(idx)), where=seg > 0)
     a = v[idx]
-    return a + t[:, None] * (v[(idx + 1) % len(v)] - a)
+    return a + t[:, None] * (v[idx + 1] - a)
 
 
-def resample_polyline(vertices, norm_fn, count, closed):
-    """Resample a polyline at equal norm-arclength spacing.
-
-    For a closed polyline, returns ``count`` vertices at arclengths
-    k*L/count starting from vertex 0.  For an open one, returns ``count``
-    vertices with both endpoints included.
-    """
-    v, cumlen = _cumulative_lengths(vertices, norm_fn, closed)
-    total = cumlen[-1]
-    if closed:
-        targets = np.arange(count) * (total / count)
-    else:
-        targets = np.linspace(0.0, total, count)
-    return _points_at(v, cumlen, np.minimum(targets, total))
+def resample_polyline(vertices, norm_fn, count):
+    """Resample an open polyline at equal norm-arclength spacing: ``count``
+    vertices, both endpoints included."""
+    v = np.asarray(vertices, dtype=float)
+    cumlen = _cumulative_lengths(v, norm_fn)
+    targets = np.linspace(0.0, cumlen[-1], count)
+    return _points_at(v, cumlen, np.minimum(targets, cumlen[-1]))
 
 
 def split_closed_at_fractions(vertices, norm_fn, pieces):
@@ -168,16 +148,18 @@ def split_closed_at_fractions(vertices, norm_fn, pieces):
     inside an edge are inserted by linear interpolation, and a point within
     1e-13 * max(1, max |x|) of its predecessor on the path is dropped.
     """
-    v, cumlen = _cumulative_lengths(vertices, norm_fn, closed=True)
+    v = np.asarray(vertices, dtype=float)
+    v = np.vstack([v, v[:1]])  # the open polyline that ends back at vertex 0
+    cumlen = _cumulative_lengths(v, norm_fn)
     cuts = np.arange(pieces + 1) * cumlen[-1] / pieces
     ends = _points_at(v, cumlen, cuts)
     tol = 1e-13 * max(1.0, float(np.abs(v).max()))
     paths = []
     for k in range(pieces):
-        # vertex j % n sits at arclength cumlen[j]; keep those strictly
-        # inside the piece, between its interpolated endpoints
+        # vertex j sits at arclength cumlen[j]; keep those strictly inside
+        # the piece, between its interpolated endpoints
         inside = np.nonzero((cuts[k] < cumlen[1:]) & (cumlen[1:] < cuts[k + 1]))[0]
-        path = np.vstack([ends[k], v[(inside + 1) % len(v)], ends[k + 1]])
+        path = np.vstack([ends[k], v[inside + 1], ends[k + 1]])
         step = np.linalg.norm(np.diff(path, axis=0), axis=1)
         paths.append(path[np.concatenate([[True], step > tol])])
     return paths

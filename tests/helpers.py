@@ -21,6 +21,7 @@ from symcap.capacity import (
     _levels,
     _planar_ellipse_init,
     _refine,
+    _unit_action_loop,
     calibration_self_test,
     clarke_edge_norm,
     clarke_functional,
@@ -143,7 +144,7 @@ def bisect_gauge(body, x, lo=1e-9, hi=1e9, iters=200):
     """Gauge by bisection on containment: the s with x/s on the boundary."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if body.contains(np.asarray(x) / mid):
+        if body.gauge(np.asarray(x) / mid) <= 1.0:
             hi = mid
         else:
             lo = mid
@@ -219,18 +220,14 @@ def _reference_cumlen(v, norm_fn, closed):
     return cumlen, total
 
 
-def reference_resample_polyline(vertices, norm_fn, count, closed):
-    """Equal-arclength resampling one target at a time: the formulation
-    ``loops.resample_polyline`` must reproduce bit for bit."""
+def reference_resample_polyline(vertices, norm_fn, count):
+    """Equal-arclength resampling of an open polyline one target at a time:
+    the formulation ``loops.resample_polyline`` must reproduce bit for bit."""
     v = np.asarray(vertices, dtype=float)
-    cumlen, total = _reference_cumlen(v, norm_fn, closed)
-    if closed:
-        targets = np.arange(count) * (total / count)
-    else:
-        targets = np.linspace(0.0, total, count)
+    cumlen, total = _reference_cumlen(v, norm_fn, False)
     out = np.empty((count, v.shape[1]))
-    for i, s in enumerate(targets):
-        out[i] = _reference_point_at(v, cumlen, min(s, total), closed)
+    for i, s in enumerate(np.linspace(0.0, total, count)):
+        out[i] = _reference_point_at(v, cumlen, min(s, total), False)
     return out
 
 
@@ -355,7 +352,6 @@ def reference_symmetric_girth(
         bgraph.samples[path[::-1]],
         lambda e: np.linalg.norm(e, axis=-1),
         REFINE_POINTS + 1,
-        closed=False,
     )[:-1]
     half, half_len = refine_symmetric_half(body, body.boundary_point(half))
     return bgraph.k_neighbors, dists, 2.0 * half_len, np.vstack([half, -half])
@@ -472,7 +468,7 @@ def reference_integrate_characteristic(body, x0, t_max, step=1e-3):
     must reproduce bit for bit.  Expects a smooth even-dimensional body, a
     boundary start point and 0 < step < t_max."""
     x0 = np.asarray(x0, dtype=float)
-    closure_tol = 1e-4 * body.diameter()
+    closure_tol = 1e-4 * (2.0 * body.outer_radius())
 
     n_steps = int(math.ceil(t_max / step))
     states = np.empty((n_steps + 1, body.dim))
@@ -616,10 +612,11 @@ def reference_clarke_minimize(
     N/4, N/2 and N points, each finer loop seeded by ``_refine``.  A
     translated ellipsoid is solved on its centered copy, whose symmetry may
     be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to zero,
-    so the functional is the same.  The reported value re-evaluates the
-    best full loop on the body itself with the exact support function, so
-    it is always a genuine discrete upper bound; for polytopes the smoothed
-    value of the last level is kept in the diagnostics.
+    so the functional is the same.  Each restart's full loop is evaluated
+    on the body itself with the exact support function, oriented and at
+    unit action, so it is always a genuine discrete upper bound; the least
+    is the value, its loop the witness.  For polytopes the smoothed value of
+    the last level is kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
@@ -636,7 +633,7 @@ def reference_clarke_minimize(
         )
         return val, grad.ravel()
 
-    best_x = None
+    witness = None
     best_val = math.inf
     restart_values = []
     iterations = []
@@ -671,22 +668,17 @@ def reference_clarke_minimize(
             )
             y = res.x.reshape(-1, frame.dim)
             nit += int(res.nit)
-        x_final = np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
-        value = clarke_functional(body, x_final)
+        loop = _unit_action_loop(
+            frame, np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
+        )
+        value = clarke_functional(body, loop)
         restart_values.append(value)
         iterations.append(nit)
         converged_flags.append(bool(res.success))
         if value < best_val:
             best_val = value
-            best_x = x_final
+            witness = loop
 
-    # orient positively and rescale the witness to unit action
-    act = float(frame.polygon_action(best_x))
-    if act < 0:
-        best_x = best_x[::-1].copy()
-        act = -act
-    witness = DiscreteLoop(frame, best_x / math.sqrt(act))
-    value = clarke_functional(body, witness)
     diagnostics = {
         "restart_values": restart_values,
         "iterations": iterations,
@@ -700,5 +692,5 @@ def reference_clarke_minimize(
         diagnostics["smoothing_p"] = last_p
         diagnostics["smoothed_value"] = clarke_functional(body, witness, last_p)
     return CapacityResult(
-        value=value, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
+        value=best_val, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
     )

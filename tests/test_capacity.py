@@ -368,6 +368,23 @@ def test_clarke_cube_is_within_1e3_of_its_capacity(seed):
     assert 4.0 * (1 - 1e-9) <= res.value <= 4.0 * (1 + 1e-3)
 
 
+# FOUND in CHANGES.md: both restarts of the seed that `perfbench/run.py
+# --workload capacity-symmetric --seed 43` derives for the cube miss its
+# basin (5.394632 against c_EHZ = 4; 3 restarts give 4.0022), so the
+# benchmark's 2% gate fails there; seeding polytope solves with facet words
+# flips this test
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 9 and 14: polytope starts and facet words",
+)
+def test_clarke_cube_seed_43_of_the_capacity_workload():
+    suite = json.loads(SUITE.read_text())["bodies"]
+    entry = next(e for e in suite if e["id"] == "cube-d4")
+    config = OptimizerConfig(seed=3990053934, restarts=2, points=256)
+    assert clarke_minimize(body_from_dict(entry), config).value <= 4.0 * 1.02
+
+
 def test_continuation_levels():
     assert _levels(cube(4), 64, 4) == [(64, p, 500) for p in SMOOTHING_LEVELS]
     counts = lambda n, m: [lvl[0] for lvl in _levels(ball(4), n, m)]
@@ -427,7 +444,7 @@ def test_clarke_race_matches_the_reference(name, points):
         values = res.diagnostics["restart_values"]
         assert values[k] == ref.diagnostics["restart_values"][k]
         assert res.value <= ref.value * (1 + 1e-5)
-        assert min(values) == pytest.approx(res.value, rel=1e-12)
+        assert min(values) == res.value
         assert len(res.witness) == points
 
 
@@ -505,10 +522,16 @@ def test_c_j_planar_ellipse_against_dense_pair_oracle():
 
 
 def test_c_j_scaling():
-    bodies = [ball(4), cube(4), Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])]
-    for body in bodies:
+    # each body next to its copy scaled by 3
+    r = np.array([1.0, 2.0, 1.0, 2.0])
+    pairs = [
+        (ball(4), Ellipsoid(ball(4).matrix / 9)),
+        (cube(4), cube(4, 3.0)),
+        (Ellipsoid.from_radii(r), Ellipsoid.from_radii(3 * r)),
+    ]
+    for body, scaled in pairs:
         v1 = c_j(body).value
-        v3 = c_j(body.scale(3.0)).value
+        v3 = c_j(scaled).value
         assert v3 == pytest.approx(9.0 * v1, rel=1e-9)
 
 

@@ -275,7 +275,7 @@ def test_incommensurate_orbit_never_closes(incommensurate_orbit):
     assert traj.period is None
     assert len(traj.crossings) > 0
     assert traj.closure_residual is not None
-    assert traj.closure_residual > 1e-4 * traj.body.diameter()
+    assert traj.closure_residual > 1e-4 * (2.0 * traj.body.outer_radius())
     with pytest.raises(OrbitNotClosed, match="best crossing residual"):
         closed_orbit_action(traj)
 

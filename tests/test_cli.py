@@ -552,6 +552,38 @@ def test_symmetrize_non_finite_vertex_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 0, "vertices": []}',
+        '{"dim": -2, "vertices": [[1, 0], [0, 1], [-1, 0]]}',
+        '{"dim": 2, "vertices": [[1, 0]]}',
+        '{"dim": 4, "vertices": [[1, 0], [0, 1], [-1, 0]]}',
+        '{"dim": 2, "vertices": [1, 0, 0, 1, -1, 0]}',
+        # numbers that overflow on conversion
+        '{"dim": 1e400, "vertices": [[1, 0], [0, 1], [-1, 0]]}',
+        '{"dim": 2, "vertices": [[1' + "0" * 400 + ', 0], [0, 1], [-1, 0]]}',
+    ],
+    ids=[
+        "dim-zero",
+        "dim-negative",
+        "one-vertex",
+        "columns-below-dim",
+        "flat-vertex-list",
+        "dim-overflows",
+        "vertex-overflows",
+    ],
+)
+def test_malformed_loop_file_exits_2(tmp_path, capsys, text):
+    loop = tmp_path / "loop.json"
+    loop.write_text(text)
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    code, _, err = run_cli(capsys, ["symmetrize", str(loop), "--body", body])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"kind": "ellipsoid", "dim": 2, "params": {"radii": "abc"}},
@@ -630,3 +662,28 @@ def test_missing_body_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["cj", str(tmp_path / "nope.json")])
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e308"]
+)
+@pytest.mark.parametrize(
+    "option", ["girth-tol", "verify-tol", "flow-tmax", "flow-step"]
+)
+def test_float_options_exit_0_1_or_2(tmp_path, capsys, option, value):
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    suite = write_json(
+        tmp_path, "suite.json", {"bodies": [BALL2], "profiles": TINY_PROFILE}
+    )
+    argv = {
+        "girth-tol": ["girth", body, "--samples", "64", f"--tol={value}"],
+        "verify-tol": [
+            "verify", suite, "--out", str(tmp_path / "r"), "--profile", "tiny",
+            f"--tol={value}",
+        ],
+        "flow-tmax": ["flow", body, "--start", "1,0", f"--tmax={value}"],
+        "flow-step": ["flow", body, "--start", "1,0", "--tmax", "1", f"--step={value}"],
+    }[option]
+    code, _, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -215,14 +215,6 @@ def test_lp_polyhedral_cases_are_polytopes():
         lp_ball(1, np.ones(10))
 
 
-def test_scale_behaviour():
-    rng = np.random.default_rng(41)
-    x = rng.normal(size=(50, 4))
-    for body in (ball(4), cube(4), lp_ball(4.0, np.ones(4))):
-        doubled = body.scale(2.0)
-        assert np.allclose(doubled.gauge(x), body.gauge(x) / 2.0, rtol=1e-9)
-
-
 def test_constructor_validation():
     with pytest.raises(NonConvexParameters):
         Ellipsoid(np.array([[1.0, 0.0], [0.0, -1.0]]))
