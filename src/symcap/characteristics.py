@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     CalibrationError,
+    DimensionMismatch,
     InvalidParameter,
     NotSmoothBody,
     OrbitNotClosed,
@@ -71,7 +72,7 @@ def integrate_characteristic(
             "characteristic flow needs a smooth gauge; polytopes have none"
         )
     if body.dim % 2 != 0:
-        raise NotSmoothBody("characteristic flow needs an even-dimensional body")
+        raise DimensionMismatch("characteristic flow needs an even-dimensional body")
     x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise InvalidParameter(f"start point must be finite, got {x0.tolist()}")

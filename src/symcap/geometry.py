@@ -4,8 +4,8 @@ Every body K exposes the same small contract:
 
 * ``gauge(x)``          Minkowski gauge g_K, 1-homogeneous, 1 on the boundary
 * ``support(u)``        support function h_K(u) = max_{y in K} <u, y>
-* ``support_point(u)``  a maximizer of <u, .> over K
-* ``support_and_point(u)`` both of the above, ``(support(u), support_point(u))``
+* ``support_and_point(u)`` h_K(u) and a maximizer of <u, .> over K, one kernel
+* ``support_point(u)``  that maximizer alone, defined once in ``ConvexBody``
 * ``gauge_gradient(x)`` gradient (or a deterministic subgradient selection)
 * ``polar()``           the polar body, satisfying h_K = g_{K polar}
 * ``boundary_point(d)`` the boundary point on the ray through d
@@ -14,7 +14,10 @@ Every body K exposes the same small contract:
   ``is_symmetric`` is its m = 2 case, K = -K
 
 All evaluation methods are vectorized over leading axes, so ``gauge`` on an
-``(N, d)`` array returns ``(N,)`` values.
+``(N, d)`` array returns ``(N,)`` values.  At 0 the values are defined,
+gauge(0) = support(0) = 0; the points are not: ``support_and_point``,
+``gauge_gradient`` and ``boundary_point`` raise GradientUndefinedAtZero on a
+zero vector and on a batch holding a zero row.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class ConvexBody:
     def support(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def support_point(self, u):  # pragma: no cover - abstract
+    def support_and_point(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def gauge_gradient(self, x):  # pragma: no cover - abstract
@@ -98,10 +101,9 @@ class ConvexBody:
         g = self.gauge(d)
         return d / np.asarray(g)[..., None]
 
-    def support_and_point(self, u):
-        """``(support(u), support_point(u))``; bodies override it when the two
-        share work."""
-        return self.support(u), self.support_point(u)
+    def support_point(self, u):
+        """A maximizer of <u, .> over K: the point of ``support_and_point``."""
+        return self.support_and_point(u)[1]
 
     def is_invariant(self, m: int) -> bool:
         """Whether W = ``root_multiply(m, 1)`` maps K onto itself.
@@ -192,20 +194,13 @@ class Ellipsoid(ConvexBody):
         quad = np.einsum("...i,ij,...j->...", u, self._inv, u)
         return u @ self.center + np.sqrt(np.maximum(quad, 0.0))
 
-    def support_point(self, u):
+    def support_and_point(self, u):
+        # one product u M^-1 serves both
         u = self._check_vec(u)
         mu = u @ self._inv
         quad = np.add.reduce(mu * u, axis=-1)
         if (quad == 0.0).any():
             raise GradientUndefinedAtZero("support point undefined for direction 0")
-        return self.center + mu / np.sqrt(quad)[..., None]
-
-    def support_and_point(self, u):
-        # one product u M^-1 serves both; the floor keeps a zero direction
-        # finite (support ~0, point c) where support_point would raise
-        u = self._check_vec(u)
-        mu = u @ self._inv
-        quad = np.maximum(np.add.reduce(mu * u, axis=-1), 1e-300)
         root = np.sqrt(quad)
         return u @ self.center + root, self.center + mu / root[..., None]
 
@@ -292,9 +287,6 @@ class LpBall(ConvexBody):
     def support(self, u):
         u = self._check_vec(u)
         return self._scaled_norm(np.abs(u) * self.weights, self.q)
-
-    def support_point(self, u):
-        return self.support_and_point(u)[1]
 
     def support_and_point(self, u):
         # z = |u| w, its row maximum and power sum serve both, bit for bit
@@ -397,8 +389,9 @@ class Polytope(ConvexBody):
             reason = str(exc).partition("\n")[0]  # Qhull appends its whole report
             raise NonConvexParameters(f"degenerate vertex set: {reason}") from exc
         self.vertices = vertices[hull.vertices]
-        # Qhull equations are [A | d] with A x + d <= 0
-        eq = hull.equations
+        # Qhull equations are [A | d] with A x + d <= 0, one row per simplex
+        # of the triangulated hull; coplanar simplices share a facet row
+        eq = _dedupe_rows(hull.equations)
         self.normals = eq[:, :-1].copy()
         self.offsets = -eq[:, -1].copy()
         if np.min(self.offsets) <= 1e-12:
@@ -437,11 +430,13 @@ class Polytope(ConvexBody):
         u = self._check_vec(u)
         return np.maximum.reduce(u @ self.vertices.T, axis=-1)
 
-    def support_point(self, u):
+    def support_and_point(self, u):
+        # the top vertex score; its vertex is the first in rank among near ties
         u = self._check_vec(u)
-        scores = u @ self.vertices.T
-        idx = _argmax_with_rank(scores, self._vertex_rank)
-        return self.vertices[idx]
+        if not u.any(axis=-1).all():
+            raise GradientUndefinedAtZero("support point undefined for direction 0")
+        h, idx = _ranked_argmax(u @ self.vertices.T, self._vertex_rank)
+        return h, self.vertices[idx]
 
     def smoothed_support_and_point(self, u, p: float):
         """Smooth upper approximation of ``support_and_point``.
@@ -471,8 +466,7 @@ class Polytope(ConvexBody):
         x = self._check_vec(x)
         if np.any(np.linalg.norm(x, axis=-1) == 0.0):
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-        scores = x @ self._facet_grads.T
-        idx = _argmax_with_rank(scores, self._grad_rank)
+        _, idx = _ranked_argmax(x @ self._facet_grads.T, self._grad_rank)
         return self._facet_grads[idx]
 
     def polar(self) -> "Polytope":
@@ -514,13 +508,12 @@ def _dedupe_rows(pts, rel_tol=1e-9):
     return pts[np.sort(keep)]
 
 
-def _argmax_with_rank(scores, rank, rel_tol=1e-12):
-    """Argmax along the last axis, breaking exact/near ties by smallest rank."""
-    scores = np.asarray(scores)
-    mx = np.max(scores, axis=-1, keepdims=True)
-    tied = scores >= mx - rel_tol * np.maximum(1.0, np.abs(mx))
+def _ranked_argmax(scores, rank, rel_tol=1e-12):
+    """Max and argmax along the last axis, near ties broken by smallest rank."""
+    mx = np.maximum.reduce(scores, axis=-1)
+    tied = scores >= (mx - rel_tol * np.maximum(1.0, np.abs(mx)))[..., None]
     ranked = np.where(tied, rank, np.iinfo(np.int64).max)
-    return np.argmin(ranked, axis=-1)
+    return mx, np.argmin(ranked, axis=-1)
 
 
 def cube(dim: int, radius: float = 1.0) -> Polytope:

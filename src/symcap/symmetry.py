@@ -39,6 +39,8 @@ from .geometry import ConvexBody
 from .loops import DiscreteLoop, closed_length, split_closed_at_fractions
 from .symplectic import alpha_m
 
+MAX_ORDER = 1 << 9  # orders a caller may ask for: the m candidates take m^2 rotations
+
 
 @dataclass
 class SymmetrizationOutcome:
@@ -106,10 +108,11 @@ def symmetrize_mfold(
 
     The norm body must be one that W = ``root_multiply(m, 1)`` maps onto
     itself, the one exact check ``ConvexBody.is_invariant(m)``; otherwise
-    ``BodyNotSymmetricUnderW`` (for m = 2: not centrally symmetric).
+    ``BodyNotSymmetricUnderW`` (for m = 2: not centrally symmetric).  An m
+    outside [2, MAX_ORDER] is an InvalidParameter.
     """
-    if m < 2:
-        raise InvalidParameter(f"symmetry order m must be at least 2, got {m}")
+    if not 2 <= m <= MAX_ORDER:
+        raise InvalidParameter(f"symmetry order m must be in [2, {MAX_ORDER}], got {m}")
     if loop.dim != norm_body.dim:
         raise InvalidParameter(
             f"loop has dimension {loop.dim}, norm body has dimension {norm_body.dim}"
@@ -138,7 +141,7 @@ def symmetrize_mfold(
     cut_action = float(frame.polygon_action(cuts)) if m >= 3 else 0.0
     const = alpha_m(m)
     decomposition = []
-    candidates = []
+    best_action, chosen_index, chosen = -math.inf, 0, None
     for i, seg in enumerate(segments):
         v_i = seg[-1] - seg[0]
         a_i = float(frame.polygon_action(seg)) if len(seg) >= 3 else 0.0
@@ -169,19 +172,17 @@ def symmetrize_mfold(
                 "candidate_action": cand_action,
             }
         )
-        candidates.append(candidate)
+        if cand_action > best_action:  # the first maximum wins
+            best_action, chosen_index, chosen = cand_action, i, candidate
 
     additivity = abs(
         sum(d["closed_action"] for d in decomposition) + cut_action - pre_action
     )
-    actions = np.array([d["candidate_action"] for d in decomposition])
-    if actions.max() < pre_action - 1e-8 * max(1.0, abs(pre_action)):
+    if best_action < pre_action - 1e-8 * max(1.0, abs(pre_action)):
         raise CalibrationError(
             "no candidate reaches the input action; the discrete isoperimetric "
             "bound must have been violated"
         )
-    chosen_index = int(np.argmax(actions))
-    chosen = candidates[chosen_index]
     block = len(chosen) // m
     first = chosen[:block] - chosen.mean(axis=0)
     best = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])

@@ -104,6 +104,9 @@ def load_suite(suite) -> dict:
     bodies = suite["bodies"]
     if not isinstance(bodies, list) or not all(isinstance(e, dict) for e in bodies):
         raise SpecParseError('"bodies" must be a list of objects')
+    ids = "".join(e["id"] for e in bodies if isinstance(e.get("id"), str))
+    if any("\ud800" <= c <= "\udfff" for c in ids):  # no UTF-8 report can hold it
+        raise SpecParseError('a body "id" holds a lone surrogate')
     return suite
 
 

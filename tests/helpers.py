@@ -1,32 +1,21 @@
 """Shared generators and independent oracles for the test suite."""
 
+import copy
 import math
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 from scipy.sparse.csgraph import dijkstra
 
-from symcap._util import spawn_rngs
+from symcap import capacity
 from symcap.capacity import (
-    F_RTOL,
-    G_TOL,
-    METHOD_CLARKE,
     METHOD_MULTISTART,
     CapacityResult,
     OptimizerConfig,
-    _functional_with_grad,
-    _levels,
-    _planar_ellipse_init,
-    _refine,
-    _unit_action_loop,
-    calibration_self_test,
     clarke_edge_norm,
-    clarke_functional,
-    frame_for,
-    symmetry_order,
 )
 from symcap.characteristics import Trajectory
 from symcap.errors import (
@@ -34,10 +23,8 @@ from symcap.errors import (
     NonConvexParameters,
     NotSmoothBody,
     StepUnstable,
-    ZeroActionStart,
 )
 from symcap.geometry import (
-    ConvexBody,
     Ellipsoid,
     LpBall,
     Polytope,
@@ -287,6 +274,58 @@ def reference_symmetrize_central(loop, norm_body):
     return chosen, out.scaled(1.0 / math.sqrt(out.action()))
 
 
+# JSON-like values: what json.loads can return, with numbers a file can spell
+# that overflow a float or an int conversion (1e400 parses as inf)
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, 1e308, 5e-324])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
+    | st.sampled_from(["inf", "nan", "1", "2.5"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+VECTORS = st.lists(NUMBERS | st.floats(0.2, 3.0), max_size=6)
+FIELD_VALUES = JSON_VALUES | VECTORS | st.lists(VECTORS, max_size=8)
+VALID_SPECS = [
+    {"kind": "ellipsoid", "dim": 4, "params": {"radii": [1, 2, 1, 2]}},
+    {
+        "kind": "ellipsoid",
+        "dim": 2,
+        "params": {"matrix": [[2, 0], [0, 1]], "center": [0.1, 0]},
+    },
+    {"kind": "lp", "dim": 4, "params": {"p": 4, "weights": [1, 1, 1, 1]}},
+    {"kind": "lp", "dim": 2, "params": {"p": "inf", "weights": [1, 2]}},
+    {
+        "kind": "polytope_v",
+        "dim": 2,
+        "params": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
+    },
+    {
+        "kind": "polytope_h",
+        "dim": 2,
+        "params": {
+            "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+            "offsets": [1, 1, 1, 1],
+        },
+    },
+]
+TOP_FIELDS = ["kind", "dim", "params"]
+PARAM_FIELDS = ["matrix", "radii", "center", "p", "weights"]
+PARAM_FIELDS += ["vertices", "normals", "offsets"]
+
+
+@st.composite
+def edited_specs(draw):
+    """A valid body description with up to two fields set to any value."""
+    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    fields = st.sampled_from(TOP_FIELDS + PARAM_FIELDS)
+    for key, value in draw(st.lists(st.tuples(fields, FIELD_VALUES), max_size=2)):
+        target = spec if key in TOP_FIELDS else spec["params"]
+        if isinstance(target, dict):
+            target[key] = value
+    return spec
+
+
 def fixture_bodies():
     """(name, body) pairs: every body kind, the shifted and the 6-d ellipsoid."""
     rng = np.random.default_rng(20240)
@@ -415,26 +454,27 @@ def reference_support(body, u):
 
 
 def reference_support_point(body, u):
-    u = np.asarray(u, dtype=float)
-    if isinstance(body, Ellipsoid):
-        mu = u @ np.linalg.inv(body.matrix)
-        quad = np.sum(mu * u, axis=-1)
-        if np.any(quad == 0.0):
-            raise GradientUndefinedAtZero("support point undefined for direction 0")
-        return body.center + mu / np.sqrt(quad)[..., None]
     return reference_support_and_point(body, u)[1]
 
 
 def reference_support_and_point(body, u):
     u = np.asarray(u, dtype=float)
+    if np.any(~np.any(u, axis=-1)):
+        raise GradientUndefinedAtZero("support point undefined for direction 0")
     if isinstance(body, Ellipsoid):
         mu = u @ np.linalg.inv(body.matrix)
-        root = np.sqrt(np.maximum(np.sum(mu * u, axis=-1), 1e-300))
+        root = np.sqrt(np.sum(mu * u, axis=-1))
         return u @ body.center + root, body.center + mu / root[..., None]
+    if isinstance(body, Polytope):
+        # the first vertex in lexicographic order whose score is within
+        # 1e-12 (relative) of the largest
+        scores = u @ body.vertices.T
+        h = np.max(scores, axis=-1)
+        order = np.lexsort(body.vertices.T[::-1])
+        tied = scores[..., order] >= (h - 1e-12 * np.maximum(1.0, np.abs(h)))[..., None]
+        return h, body.vertices[order][np.argmax(tied, axis=-1)]
     z = np.abs(u) * body.weights
     m = np.max(z, axis=-1)
-    if np.any(m == 0.0):
-        raise GradientUndefinedAtZero("support point undefined for direction 0")
     zn = z / m[..., None]
     s = np.sum(zn**body.q, axis=-1)
     point = body.weights * np.sign(u) * zn ** (body.q - 1.0) / s[..., None] ** (
@@ -596,101 +636,21 @@ def reference_c_j_ascent(body, frame, restarts, samples, rng) -> CapacityResult:
 
 
 # The restart-major Clarke solve that the level-major race of
-# ``capacity.clarke_minimize`` replaced: every restart runs every level.  The
-# race's leading restart must reproduce its entry bit for bit.
+# ``capacity.clarke_minimize`` replaced: every restart runs every level.  With
+# one restart the race prunes nothing, so that restart's solve is
+# ``clarke_minimize`` at restarts=1, handed the restart's own generator.
 
-def reference_clarke_minimize(
-    body: ConvexBody, config: Optional[OptimizerConfig] = None
-) -> CapacityResult:
-    """Minimize the dual action functional over discrete loops.
-
-    Multistart quasi-Newton descent on the vertex coordinates of the loops
-    with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
-    N/m vertices are free.  Each restart runs the levels of ``_levels`` in
-    turn, each warm-started from the last: on a polytope the smoothing
-    exponent p = 40, 160, ..., 10240 at N points, on a smooth body N/8,
-    N/4, N/2 and N points, each finer loop seeded by ``_refine``.  A
-    translated ellipsoid is solved on its centered copy, whose symmetry may
-    be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to zero,
-    so the functional is the same.  Each restart's full loop is evaluated
-    on the body itself with the exact support function, oriented and at
-    unit action, so it is always a genuine discrete upper bound; the least
-    is the value, its loop the witness.  For polytopes the smoothed value of
-    the last level is kept in the diagnostics.
-    """
-    calibration_self_test()
-    config = config or OptimizerConfig()
-    frame = frame_for(body)
-    n_pts = config.points
-    solve_body = Ellipsoid(body.matrix) if isinstance(body, Ellipsoid) else body
-    m = symmetry_order(solve_body, config)
-    levels = _levels(solve_body, n_pts, m)
-    scale = 0.5 * solve_body.outer_radius()
-
-    def objective(flat, p):
-        val, grad = _functional_with_grad(
-            solve_body, flat.reshape(-1, frame.dim), m, p
-        )
-        return val, grad.ravel()
-
-    witness = None
-    best_val = math.inf
-    restart_values = []
-    iterations = []
-    converged_flags = []
-    for rng in spawn_rngs(config.seed, config.restarts):
-        for _ in range(10):
-            x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
-            if abs(frame.polygon_action(x0)) > 1e-10 * scale**2:
-                break
-        else:
-            raise ZeroActionStart("could not draw a start with nonzero action")
-        if frame.polygon_action(x0) < 0:
-            x0 = x0[::-1].copy()
-        # the W-invariant part of the start: sum_j W^-j x0_j / m over blocks
-        y = np.mean(
-            [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],
-            axis=0,
-        )
-        nit = 0
-        for n, p, max_iterations in levels:
-            if n > m * len(y):
-                y = _refine(frame, y, m)
-            res = minimize(
-                objective,
-                y.ravel(),
-                args=(p,),
-                jac=True,
-                method="L-BFGS-B",
-                options=dict(
-                    maxiter=max_iterations, ftol=F_RTOL, gtol=G_TOL, maxcor=20
-                ),
-            )
-            y = res.x.reshape(-1, frame.dim)
-            nit += int(res.nit)
-        loop = _unit_action_loop(
-            frame, np.vstack([frame.root_multiply(m, j, y) for j in range(m)])
-        )
-        value = clarke_functional(body, loop)
-        restart_values.append(value)
-        iterations.append(nit)
-        converged_flags.append(bool(res.success))
-        if value < best_val:
-            best_val = value
-            witness = loop
-
-    diagnostics = {
-        "restart_values": restart_values,
-        "iterations": iterations,
-        "converged": converged_flags,
-        "points": n_pts,
-        "symmetric": config.symmetric,
-        "symmetry_order": m,
-    }
-    if not body.is_smooth:
-        last_p = levels[-1][1]
-        diagnostics["smoothing_p"] = last_p
-        diagnostics["smoothed_value"] = clarke_functional(body, witness, last_p)
-    return CapacityResult(
-        value=best_val, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
-    )
+def reference_restart_values(body, config: OptimizerConfig):
+    """Each restart of ``config`` solved alone through every level: the
+    per-restart values and their minimum."""
+    original = capacity.spawn_rngs
+    values = []
+    try:
+        for rng in original(config.seed, config.restarts):
+            capacity.spawn_rngs = lambda seed, count, rng=rng: [rng]
+            one = OptimizerConfig(seed=config.seed, restarts=1, points=config.points)
+            res = capacity.clarke_minimize(body, one)
+            values.append(res.diagnostics["restart_values"][0])
+    finally:
+        capacity.spawn_rngs = original
+    return values, min(values)

@@ -50,8 +50,8 @@ from helpers import (
     random_symmetric_polytope,
     random_symplectic_matrix,
     reference_c_j_ascent,
-    reference_clarke_minimize,
     reference_functional_with_grad,
+    reference_restart_values,
     regular_polygon,
 )
 
@@ -434,7 +434,7 @@ def test_clarke_race_matches_the_reference(name, points):
     for seed in range(3):
         config = OptimizerConfig(seed=seed, restarts=3, points=points)
         res = clarke_minimize(body, config)
-        ref = reference_clarke_minimize(body, config)
+        ref_values, ref_value = reference_restart_values(body, config)
         n_levels = len(_levels(body, points, symmetry_order(body, config)))
         levels_run = res.diagnostics["levels_run"]
         assert n_levels > 1
@@ -442,8 +442,8 @@ def test_clarke_race_matches_the_reference(name, points):
         assert len(leaders) == 1
         k = leaders[0]
         values = res.diagnostics["restart_values"]
-        assert values[k] == ref.diagnostics["restart_values"][k]
-        assert res.value <= ref.value * (1 + 1e-5)
+        assert values[k] == ref_values[k]
+        assert res.value <= ref_value * (1 + 1e-5)
         assert min(values) == res.value
         assert len(res.witness) == points
 

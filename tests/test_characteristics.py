@@ -13,6 +13,7 @@ from symcap.characteristics import (
 )
 from symcap.errors import (
     CalibrationError,
+    DimensionMismatch,
     InvalidParameter,
     NotSmoothBody,
     OrbitNotClosed,
@@ -186,7 +187,7 @@ def test_orbit_length_bounded_by_action_over_capacity(
 def test_flow_rejects_nonsmooth_and_odd_dimensional_bodies():
     with pytest.raises(NotSmoothBody, match="smooth"):
         integrate_characteristic(cube(4), [1.0, 0.0, 0.0, 0.0], t_max=1.0)
-    with pytest.raises(NotSmoothBody, match="even"):
+    with pytest.raises(DimensionMismatch, match="even"):
         integrate_characteristic(ball(3), [1.0, 0.0, 0.0], t_max=1.0)
 
 

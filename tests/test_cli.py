@@ -1,15 +1,19 @@
 import csv
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from symcap import verify
+from symcap import capacity, girth, symmetry, verify
 from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
 from symcap.cli import main
 from symcap.errors import InvalidParameter, SpecParseError
 from symcap.verify import CSV_COLUMNS
+
+from helpers import JSON_VALUES, edited_specs
 
 BALL2 = {"id": "ball-d2", "kind": "ellipsoid", "dim": 2, "params": {"radii": [1.0, 1.0]}}
 BALL4 = {
@@ -529,6 +533,25 @@ def test_symmetrize_order_below_two_exits_2(tmp_path, capsys, m):
     assert "Traceback" not in err
 
 
+def test_symmetrize_order_above_the_cap_exits_2(tmp_path, capsys):
+    loop = write_json(tmp_path, "loop.json", TRIANGLE)
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    m = str(symmetry.MAX_ORDER + 1)
+    code, _, err = run_cli(capsys, ["symmetrize", loop, "--body", body, "--m", m])
+    assert code == 2
+    assert err == f"error: symmetry order m must be in [2, 512], got {m}\n"
+
+
+def test_flow_on_an_odd_dimensional_body_is_a_dimension_error(tmp_path, capsys):
+    ball3 = {"kind": "ellipsoid", "dim": 3, "params": {"radii": [1.0, 1.0, 1.0]}}
+    body = write_json(tmp_path, "ball3.json", ball3)
+    code, _, err = run_cli(capsys, ["flow", body, "--start", "1,0,0", "--tmax", "1"])
+    assert code == 1
+    assert err == (
+        "error: DimensionMismatch: characteristic flow needs an even-dimensional body\n"
+    )
+
+
 def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
     loop = write_json(tmp_path, "loop.json", TRIANGLE)
     body = write_json(tmp_path, "ball4.json", BALL4)
@@ -687,3 +710,127 @@ def test_float_options_exit_0_1_or_2(tmp_path, capsys, option, value):
     code, _, err = run_cli(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# Integer options at the edges of their ranges, each paired with small values
+# of the other options: (argv up to the option, option, least valid value,
+# cap).  BODY, LOOP, SUITE and OUT stand for files written by the test.
+L4_PLANE = {"kind": "lp", "dim": 2, "params": {"p": 4, "weights": [1.0, 1.0]}}
+FUZZ_PROFILE = {"points": 8, "restarts": 1, "girth_samples": 16}
+FUZZ_PROFILES = {"tiny": FUZZ_PROFILE}
+INT_OPTIONS = [
+    (["capacity", "BODY", "--restarts", "1"], "--points", 3, capacity.MAX_POINTS),
+    (["capacity", "BODY", "--points", "8"], "--restarts", 1, capacity.MAX_RESTARTS),
+    (["capacity", "BODY", "--points", "8", "--restarts", "1"], "--seed", 0, None),
+    (["cj", "BODY"], "--seed", 0, None),
+    (["girth", "BODY"], "--samples", 4, girth.MAX_SAMPLES),
+    (["girth", "BODY", "--samples", "16"], "--neighbors", 1, None),
+    (["girth", "BODY", "--samples", "16"], "--seed", 0, None),
+    (["symmetrize", "LOOP", "--body", "BODY"], "--m", 2, symmetry.MAX_ORDER),
+    (["verify", "SUITE", "--profile", "tiny", "--out", "OUT"], "--seed", 0, None),
+]
+# the steps that do the work, each after its command's range checks
+WORK = [
+    (capacity, "minimize"),
+    (capacity, "_c_j_ascent"),
+    (girth, "_neighbor_graph"),
+    (symmetry, "split_closed_at_fractions"),
+    (verify, "verify_body"),
+]
+
+
+INT_CASES = [
+    (prefix, option, low, cap, value)
+    for prefix, option, low, cap in INT_OPTIONS
+    for value in ["-1", "0", "1", "2", str(2**64), "1.5"]
+    + ([str(cap + 1)] if cap is not None else [])
+]
+
+
+@pytest.mark.parametrize(
+    "prefix,option,low,cap,value",
+    INT_CASES,
+    ids=[f"{prefix[0]}{option}={value}" for prefix, option, _, _, value in INT_CASES],
+)
+def test_integer_options_exit_0_1_or_2(
+    tmp_path, capsys, monkeypatch, prefix, option, low, cap, value
+):
+    files = {
+        "BODY": write_json(tmp_path, "l4.json", L4_PLANE),
+        "LOOP": write_json(tmp_path, "loop.json", TRIANGLE),
+        "SUITE": write_json(
+            tmp_path, "suite.json",
+            {"bodies": [L4_PLANE], "profiles": FUZZ_PROFILES},
+        ),
+        "OUT": str(tmp_path / "reports"),
+    }
+    calls = []
+    for module, name in WORK:
+        work = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, work=work, **k: calls.append(1) or work(*a, **k)
+        )
+    try:
+        code = main([files.get(a, a) for a in prefix] + [option, value])
+    except SystemExit as exc:  # argparse: not an integer
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if not value.lstrip("-").isdigit():
+        assert code == 2
+        return
+    v = int(value)
+    if v < low or (cap is not None and v > cap) or (option == "--samples" and v % 2):
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not calls, "the range check came after the work"
+    else:
+        assert code in (0, 1), err
+
+
+PROFILE_VALUES = st.sampled_from([-1, 0, 1, 2, 2**16 + 1, 2**64]) | JSON_VALUES.filter(
+    lambda v: type(v) is not int  # any other integer could ask for a long solve
+)
+IDS = st.text(max_size=4) | JSON_VALUES
+
+
+@st.composite
+def fuzzed_suites(draw):
+    """Up to two body descriptions with any id and the tiny profile, one of its
+    fields now and then set to any value; now and then an entry, a field or
+    the whole suite is any JSON value instead."""
+    profile = dict(FUZZ_PROFILE)
+    if draw(st.booleans()):
+        profile[draw(st.sampled_from(sorted(FUZZ_PROFILE)))] = draw(PROFILE_VALUES)
+    bodies = draw(st.lists(edited_specs(), max_size=2))
+    for entry in bodies:
+        entry["id"] = draw(IDS)
+    suite = {"bodies": bodies, "profiles": {"tiny": profile}}
+    edit = draw(st.sampled_from([None] * 4 + ["entry", "bodies", "profiles", "suite"]))
+    if edit == "entry":
+        bodies.append(draw(JSON_VALUES))
+    elif edit == "suite":
+        suite = draw(JSON_VALUES)
+    elif edit:
+        suite[edit] = draw(JSON_VALUES)
+    return suite
+
+
+@settings(deadline=None, max_examples=100)
+@given(suite=fuzzed_suites())
+@example(suite={"bodies": [dict(BALL2, id="\ud800")], "profiles": FUZZ_PROFILES})
+@example(suite={"bodies": [L4_PLANE, BALL4], "profiles": FUZZ_PROFILES})
+def test_verify_reads_any_suite_or_raises_a_usage_error(suite):
+    # through a file, as the CLI reads it: any JSON value may stand at the top
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/suite.json"
+        with open(path, "w") as fh:
+            json.dump(suite, fh)
+        try:
+            code, records = verify.run_verify(path, f"{tmp}/out", profile="tiny")
+        except (SpecParseError, InvalidParameter):
+            return
+    assert code in (0, 1)
+    for rec in records:
+        assert rec.status == "ok" or rec.status.startswith("error: "), rec.status

@@ -1,4 +1,4 @@
-import copy
+import itertools
 import json
 
 import numpy as np
@@ -23,7 +23,9 @@ from symcap.geometry import (
 )
 
 from helpers import (
+    JSON_VALUES,
     bisect_gauge,
+    edited_specs,
     fixture_bodies,
     gauge_scaling_lp,
     random_spd_matrix,
@@ -207,6 +209,22 @@ def test_polytope_v_gauge_matches_lp():
         assert body.gauge(x) == pytest.approx(gauge_scaling_lp(body, x), rel=1e-7)
 
 
+def test_vertex_built_polytope_keeps_one_row_per_facet():
+    # Qhull triangulates every facet; coplanar simplices collapse to one row
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+    body = Polytope(vertices=corners)
+    assert body.normals.shape == (8, 4) and body.offsets.shape == (8,)
+    x = np.random.default_rng(41).normal(size=(500, 4))
+    assert np.allclose(body.gauge(x), cube(4).gauge(x), rtol=1e-12, atol=0.0)
+    assert np.allclose(
+        body.gauge_gradient(x), cube(4).gauge_gradient(x), rtol=0.0, atol=1e-12
+    )
+    t = 2.0 * np.pi * np.arange(6) / 6
+    hexagon = np.stack([np.cos(t), np.sin(t)], axis=1)
+    product = np.array([np.concatenate([a, b]) for a in hexagon for b in hexagon])
+    assert len(Polytope(vertices=product).normals) == 12
+
+
 def test_lp_polyhedral_cases_are_polytopes():
     assert isinstance(lp_ball(1, np.ones(4)), Polytope)
     assert isinstance(lp_ball(np.inf, np.ones(4)), Polytope)
@@ -255,6 +273,8 @@ def _kernels(body):
     return [
         ("gauge", body.gauge, reference_gauge),
         ("support", body.support, reference_support),
+        ("support_point", body.support_point, reference_support_point),
+        ("support_and_point", body.support_and_point, reference_support_and_point),
         *[
             (
                 f"smoothed_support_and_point-{p:g}",
@@ -295,11 +315,7 @@ def test_kernels_are_bit_identical_to_the_wrapper_formulas(name, body):
 ZERO_RAISES = [
     (name, body, method)
     for name, body in KERNEL_BODIES
-    if body.is_smooth
-    for method in (
-        ("gauge_gradient", "support_point")
-        + (("support_and_point",) if isinstance(body, LpBall) else ())
-    )
+    for method in ("gauge_gradient", "support_point", "support_and_point")
 ]
 
 
@@ -312,6 +328,21 @@ def test_zero_vector_still_raises(name, body, method):
     for x in (np.zeros(body.dim), batch):
         with pytest.raises(GradientUndefinedAtZero):
             getattr(body, method)(x)
+
+
+@pytest.mark.parametrize(
+    "name,body", KERNEL_BODIES, ids=[n for n, _ in KERNEL_BODIES]
+)
+def test_support_point_is_the_point_of_support_and_point(name, body):
+    # one support-point kernel per body; the support value is defined at 0
+    u = np.random.default_rng(61).normal(size=(64, body.dim))
+    u[3, 0] = 0.0
+    for v in (u, u[0]):
+        assert _as_bytes(body.support_point(v)) == _as_bytes(
+            body.support_and_point(v)[1]
+        )
+    assert body.support(np.zeros(body.dim)) == 0.0
+    assert np.array_equal(body.support(np.vstack([u[:2], 0 * u[:1]]))[2:], [0.0])
 
 
 def test_gradient_undefined_at_zero():
@@ -344,58 +375,6 @@ def test_body_from_dict_errors():
         body_from_dict({"kind": "ellipsoid", "dim": 2, "params": {}})
     with pytest.raises(SpecParseError):
         body_from_dict([1, 2, 3])
-
-
-# JSON-like values: what json.loads can return, with numbers a file can spell
-# that overflow a float or an int conversion (1e400 parses as inf)
-NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, 1e308, 5e-324])
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
-    | st.sampled_from(["inf", "nan", "1", "2.5"]),
-    lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=30,
-)
-VECTORS = st.lists(NUMBERS | st.floats(0.2, 3.0), max_size=6)
-FIELD_VALUES = JSON_VALUES | VECTORS | st.lists(VECTORS, max_size=8)
-VALID_SPECS = [
-    {"kind": "ellipsoid", "dim": 4, "params": {"radii": [1, 2, 1, 2]}},
-    {
-        "kind": "ellipsoid",
-        "dim": 2,
-        "params": {"matrix": [[2, 0], [0, 1]], "center": [0.1, 0]},
-    },
-    {"kind": "lp", "dim": 4, "params": {"p": 4, "weights": [1, 1, 1, 1]}},
-    {"kind": "lp", "dim": 2, "params": {"p": "inf", "weights": [1, 2]}},
-    {
-        "kind": "polytope_v",
-        "dim": 2,
-        "params": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
-    },
-    {
-        "kind": "polytope_h",
-        "dim": 2,
-        "params": {
-            "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
-            "offsets": [1, 1, 1, 1],
-        },
-    },
-]
-TOP_FIELDS = ["kind", "dim", "params"]
-PARAM_FIELDS = ["matrix", "radii", "center", "p", "weights"]
-PARAM_FIELDS += ["vertices", "normals", "offsets"]
-
-
-@st.composite
-def edited_specs(draw):
-    """A valid body description with up to two fields set to any value."""
-    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
-    fields = st.sampled_from(TOP_FIELDS + PARAM_FIELDS)
-    for key, value in draw(st.lists(st.tuples(fields, FIELD_VALUES), max_size=2)):
-        target = spec if key in TOP_FIELDS else spec["params"]
-        if isinstance(target, dict):
-            target[key] = value
-    return spec
 
 
 @settings(deadline=None, max_examples=300)
