@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +41,7 @@ from .errors import (
     ZeroActionStart,
 )
 from .geometry import ConvexBody, Ellipsoid, Polytope, ball
-from .loops import DiscreteLoop
+from .loops import DiscreteLoop, closed_length
 from .symplectic import SymplecticFrame
 
 METHOD_EXACT_VERTEX_PAIR = "ExactVertexPair"
@@ -111,6 +112,13 @@ class OptimizerConfig:
     symmetric: bool = True
 
     def __post_init__(self):
+        for name in ("seed", "restarts", "points"):  # numpy integers become int
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidParameter(f"{name} must be an integer") from None
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be non-negative, got {self.seed}")
         if self.points < 3:
             raise InvalidParameter("need at least 3 loop points")
         if self.points > MAX_POINTS:
@@ -149,26 +157,15 @@ def clarke_edge_norm(body: ConvexBody, v):
     return body.support(-frame.apply_j(np.asarray(v, dtype=float)))
 
 
-def clarke_functional(
-    body: ConvexBody,
-    vertices,
-    smoothing_p: Optional[float] = None,
-) -> float:
-    """c(gamma) = L(gamma)^2 / (4 |A(gamma)|) for a discrete loop.
-
-    Scale invariant by construction.  With ``smoothing_p`` set, polytope
-    support values use the smoothed form the optimizer works with.
-    """
+def clarke_functional(body: ConvexBody, vertices) -> float:
+    """c(gamma) = L(gamma)^2 / (4 |A(gamma)|) for a discrete loop, its
+    length L in the edge norm ``clarke_edge_norm``; scale invariant."""
     if not isinstance(vertices, DiscreteLoop):
         vertices = DiscreteLoop(frame_for(body), vertices)
-    *_, u, a = _edges_and_action(vertices.vertices)
-    if smoothing_p is None:
-        lengths = body.support(u)
-    else:
-        lengths, _ = body.smoothed_support_and_point(u, smoothing_p)
-    length = float(np.sum(lengths))
+    a = vertices.action()
     if a == 0.0:
         raise ZeroActionStart("loop has zero symplectic action")
+    length = closed_length(vertices.vertices, functools.partial(clarke_edge_norm, body))
     return length**2 / (4.0 * abs(a))
 
 
@@ -177,7 +174,7 @@ _PLUS_MINUS = np.array([1.0, -1.0])
 
 
 @functools.lru_cache(maxsize=16)
-def _loop_plan(n_pts: int, dim: int, m: int = 1):
+def _loop_plan(n_pts: int, dim: int, m: int):
     """Index plan for the n_pts free vertices of a loop continued by
     x_{k + n_pts} = W x_k, with W = root_multiply(m, 1): I, -I or J.
 
@@ -206,17 +203,6 @@ def _loop_plan(n_pts: int, dim: int, m: int = 1):
     return plan
 
 
-def _edges_and_action(x, m=1):
-    """The plan, [x, -x], x_{k+1}, u = -J (x_{k+1} - x_k) and the action of
-    the free vertices x of a loop continued by W = root_multiply(m, 1)."""
-    plan = nxt, _, jx_idx, perm, minus_j_sign, _ = _loop_plan(*x.shape, m)
-    xx = np.multiply.outer(_PLUS_MINUS, x)
-    x_next = xx.take(nxt)
-    u = (x_next - x).take(perm, axis=1) * minus_j_sign
-    jx = xx.take(jx_idx)
-    return plan, xx, x_next, u, float(0.5 * (jx * x_next).sum(axis=-1).sum())
-
-
 def _functional_with_grad(body, x, m, p):
     """The functional and its gradient in the free vertices x of a loop
     continued by W = root_multiply(m, 1); polytope supports are smoothed
@@ -230,15 +216,16 @@ def _functional_with_grad(body, x, m, p):
     transposed layout that column fancy-indexing gives, BLAS sums
     ``u @ center`` in ``Ellipsoid.support_and_point`` in another order.
     """
-    (_, prv, _, perm, minus_j_sign, half_j_sign), xx, x_next, u, a = (
-        _edges_and_action(x, m)
-    )
+    nxt, prv, jx_idx, perm, minus_j_sign, half_j_sign = _loop_plan(*x.shape, m)
+    xx = np.multiply.outer(_PLUS_MINUS, x)
+    x_next = xx.take(nxt)
+    u = (x_next - x).take(perm, axis=1) * minus_j_sign
+    a = m * float(0.5 * (xx.take(jx_idx) * x_next).sum(axis=-1).sum())
     if body.is_smooth:
         h, s = body.support_and_point(u)
     else:
         h, s = body.smoothed_support_and_point(u, p)
     length = m * float(h.sum())
-    a = m * a
     # dL/dx_k = -J (s_k - s_{k-1});  dA/dx_k = J (x_{k-1} - x_{k+1}) / 2
     s_prev = np.multiply.outer(_PLUS_MINUS, s).take(prv)
     grad_len = (s - s_prev).take(perm, axis=1) * minus_j_sign
@@ -458,7 +445,9 @@ def clarke_minimize(
     if not body.is_smooth:
         last_p = levels[-1][1]
         diagnostics["smoothing_p"] = last_p
-        diagnostics["smoothed_value"] = clarke_functional(body, witness, last_p)
+        diagnostics["smoothed_value"] = _functional_with_grad(
+            body, witness.vertices, 1, last_p
+        )[0]
     return CapacityResult(
         value=value, method=METHOD_CLARKE, witness=witness, diagnostics=diagnostics
     )
@@ -482,7 +471,7 @@ def c_j(body: ConvexBody, method: str = "auto", seed=0) -> CapacityResult:
     """
     frame = frame_for(body)
     if method not in ("auto", "optimize"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidParameter(f"unknown method {method!r}")
     if method == "auto":
         if isinstance(body, Polytope):
             return _c_j_vertex_pairs(body, frame)

@@ -17,7 +17,10 @@ All evaluation methods are vectorized over leading axes, so ``gauge`` on an
 ``(N, d)`` array returns ``(N,)`` values.  At 0 the values are defined,
 gauge(0) = support(0) = 0; the points are not: ``support_and_point``,
 ``gauge_gradient`` and ``boundary_point`` raise GradientUndefinedAtZero on a
-zero vector and on a batch holding a zero row.
+batch holding a zero row, for every body, and on a nonzero row too small to
+tell from 0 rather than answer for another direction: ellipsoid kernels and
+``boundary_point`` where their quadratic form or norm underflows to 0,
+polytope kernels where all scores tie (rows below about 1e-12).
 """
 
 from __future__ import annotations
@@ -181,13 +184,15 @@ class Ellipsoid(ConvexBody):
         return self._sqrt.copy()
 
     def gauge(self, x):
-        x = self._check_vec(x)
+        return self._quad_and_gauge(self._check_vec(x))[1]
+
+    def _quad_and_gauge(self, x):
         a = np.einsum("...i,ij,...j->...", x, self.matrix, x)
         if self._e == 0.0:
-            return np.sqrt(np.maximum(a, 0.0))
+            return a, np.sqrt(np.maximum(a, 0.0))
         b = x @ (self.matrix @ self.center)
         one_e = 1.0 - self._e
-        return (np.sqrt(np.maximum(b * b + one_e * a, 0.0)) - b) / one_e
+        return a, (np.sqrt(np.maximum(b * b + one_e * a, 0.0)) - b) / one_e
 
     def support(self, u):
         u = self._check_vec(u)
@@ -208,8 +213,9 @@ class Ellipsoid(ConvexBody):
         # 0-homogeneous: evaluate the outward normal at the boundary point
         # y = x / g(x) and rescale so that <grad, x> = g(x).
         x = self._check_vec(x)
-        g = np.asarray(self.gauge(x))
-        if (g == 0.0).any():
+        quad, g = self._quad_and_gauge(x)
+        g = np.asarray(g)
+        if (quad == 0.0).any() or (g == 0.0).any():
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
         y = x / g[..., None]
         nu = (y - self.center) @ self.matrix
@@ -433,9 +439,7 @@ class Polytope(ConvexBody):
     def support_and_point(self, u):
         # the top vertex score; its vertex is the first in rank among near ties
         u = self._check_vec(u)
-        if not u.any(axis=-1).all():
-            raise GradientUndefinedAtZero("support point undefined for direction 0")
-        h, idx = _ranked_argmax(u @ self.vertices.T, self._vertex_rank)
+        h, idx = _ranked_argmax(u @ self.vertices.T, self._vertex_rank, "support point")
         return h, self.vertices[idx]
 
     def smoothed_support_and_point(self, u, p: float):
@@ -464,9 +468,9 @@ class Polytope(ConvexBody):
         """Subgradient selection: the scaled outward normal n_i / c_i of a
         maximizing facet, lexicographically smallest among exact ties."""
         x = self._check_vec(x)
-        if np.any(np.linalg.norm(x, axis=-1) == 0.0):
-            raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-        _, idx = _ranked_argmax(x @ self._facet_grads.T, self._grad_rank)
+        _, idx = _ranked_argmax(
+            x @ self._facet_grads.T, self._grad_rank, "gauge gradient"
+        )
         return self._facet_grads[idx]
 
     def polar(self) -> "Polytope":
@@ -508,10 +512,13 @@ def _dedupe_rows(pts, rel_tol=1e-9):
     return pts[np.sort(keep)]
 
 
-def _ranked_argmax(scores, rank, rel_tol=1e-12):
-    """Max and argmax along the last axis, near ties broken by smallest rank."""
+def _ranked_argmax(scores, rank, what, rel_tol=1e-12):
+    """Max and argmax along the last axis, near ties broken by smallest rank.
+    A row whose scores all tie (0, or below about rel_tol) raises."""
     mx = np.maximum.reduce(scores, axis=-1)
     tied = scores >= (mx - rel_tol * np.maximum(1.0, np.abs(mx)))[..., None]
+    if tied.all(axis=-1).any():
+        raise GradientUndefinedAtZero(f"{what} undefined for direction 0")
     ranked = np.where(tied, rank, np.iinfo(np.int64).max)
     return mx, np.argmin(ranked, axis=-1)
 

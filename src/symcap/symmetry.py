@@ -3,16 +3,18 @@
 One construction, ``symmetrize_mfold``, never increases the normalized dual
 length of a closed loop.  The loop is cut into m pieces of equal dual
 length; each piece, with endpoint gap v, spawns a candidate loop made of its
-m copies under the m-th root of unity (acting diagonally on all coordinate
-planes), chained end to end.  The candidate's action is exactly m times the
-piece's chord-closed action plus a regular m-gon term alpha_m |v|^2, and
-the best candidate always carries at least the original action.  The norm
-body must be one that the rotation maps onto itself; the one exact check is
-``ConvexBody.is_invariant(m)``.
+m copies under the m-th root of unity W (acting diagonally on all coordinate
+planes), each copy starting where the previous one ends.  That chain is
+invariant under x -> W x + v, so translated to the fixed point of that map
+it is the W-orbit of its first block, and that orbit is the candidate.  Its
+action is exactly m times the piece's chord-closed action plus a regular
+m-gon term alpha_m |v|^2, and the best candidate always carries at least the
+original action.  The norm body must be one that the rotation maps onto
+itself; the one exact check is ``ConvexBody.is_invariant(m)``.
 
 Central symmetrization is the case m = 2 (``symmetrize_central``): the root
-of unity is -I, the m-gon term vanishes, and the chosen half is doubled
-through the origin.
+of unity is -I, the m-gon term vanishes, and the chosen half, centred at
+the midpoint of its chord, is doubled through the origin.
 
 Lengths here are measured in the dual edge norm ||v|| = h_K(-J v) of the
 supplied norm body, the same norm the capacity functional uses, so the
@@ -94,17 +96,19 @@ def symmetrize_mfold(
     Splits the loop into m segments of equal dual length; the segments'
     chord-closed actions A_i and the polygon of the cut points add up to the
     input action, reported as ``residuals["action_additivity"]``.  Segment i
-    with endpoint gap v_i yields a candidate built from its m rotated copies,
-    chained so each copy starts where the previous rotated copy ends; the
-    chain closes because the rotated gaps sum to zero.  The candidate action
-    equals m * A_i + alpha_m |v_i|^2 exactly (A_i = action of the segment
-    closed by its chord), which is verified numerically, and the best
-    candidate action is never below the input action — the quantitative core
-    of the m-fold symmetrization argument.  The result is the candidate's
-    first block, re-centered at the candidate's vertex centroid (the fixed
-    point of the rotate-translate symmetry), followed by its m - 1 rotated
-    copies, then rescaled to unit action.  For m = 2 and 4 the rotations are
-    exact signed permutations, so the output symmetry is exact.
+    with endpoint gap v_i yields a candidate built once, as the W-orbit
+    [W^k f_i]_{k<m} of f_i = seg[:-1] - seg[0] - c_i, where c_i = (v_i +
+    cot(pi/m) J v_i) / 2 is the fixed point of x -> W x + v_i.  It is the
+    chain of the segment's rotated copies, each starting where the previous
+    one ends, translated by -c_i, so it has the chain's action and length.
+    The candidate action equals m * A_i + alpha_m |v_i|^2 exactly (A_i =
+    action of the segment closed by its chord), which is verified
+    numerically, and the best candidate action is never below the input
+    action — the quantitative core of the m-fold symmetrization argument.
+    The best candidate (the first on ties), rescaled to unit action, is the
+    result, so the checked action and ``residuals["symmetry"]`` are those of
+    the returned loop.  For m = 2 and 4 the rotations are exact signed
+    permutations, so the output symmetry is exact.
 
     The norm body must be one that W = ``root_multiply(m, 1)`` maps onto
     itself, the one exact check ``ConvexBody.is_invariant(m)``; otherwise
@@ -140,19 +144,17 @@ def symmetrize_mfold(
     cuts = np.array([seg[0] for seg in segments])
     cut_action = float(frame.polygon_action(cuts)) if m >= 3 else 0.0
     const = alpha_m(m)
+    # the fixed point of x -> W x + v is c = (v + cot(pi/m) J v) / 2, and
+    # cot(pi/m) = 4 alpha_m / m, which is exactly 0 at m = 2
+    half_cot = 2.0 * const / m
     decomposition = []
     best_action, chosen_index, chosen = -math.inf, 0, None
     for i, seg in enumerate(segments):
         v_i = seg[-1] - seg[0]
         a_i = float(frame.polygon_action(seg)) if len(seg) >= 3 else 0.0
         s_i = const * float(v_i @ v_i)
-        base = seg[:-1] - seg[0]
-        blocks = []
-        t_k = np.zeros(loop.dim)
-        for k in range(m):
-            blocks.append(frame.root_multiply(m, k, base) + t_k)
-            t_k = t_k + frame.root_multiply(m, k, v_i)
-        candidate = np.vstack(blocks)
+        first = seg[:-1] - seg[0] - (0.5 * v_i + half_cot * frame.apply_j(v_i))
+        candidate = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
         # a one-point-per-block candidate is a degenerate zero-action polygon
         cand_action = (
             float(frame.polygon_action(candidate)) if len(candidate) >= 3 else 0.0
@@ -183,18 +185,13 @@ def symmetrize_mfold(
             "no candidate reaches the input action; the discrete isoperimetric "
             "bound must have been violated"
         )
-    block = len(chosen) // m
-    first = chosen[:block] - chosen.mean(axis=0)
-    best = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
-    out_loop = DiscreteLoop(frame, best)
-    post_action = out_loop.action()
-    if post_action <= 0:
+    if best_action <= 0:
         raise ZeroAction("symmetrized loop has nonpositive action")
-    rotated = frame.root_multiply(m, 1, best)
+    rotated = frame.root_multiply(m, 1, chosen)
     sym_residual = float(
-        np.max(np.abs(np.roll(best, -block, axis=0) - rotated))
+        np.max(np.abs(np.roll(chosen, -(len(chosen) // m), axis=0) - rotated))
     )
-    out_loop = out_loop.scaled(1.0 / math.sqrt(post_action))
+    out_loop = DiscreteLoop(frame, chosen).scaled(1.0 / math.sqrt(best_action))
     post_action = out_loop.action()
     post_length = closed_length(out_loop.vertices, norm_fn)
 

@@ -31,7 +31,12 @@ from symcap.capacity import (
     _levels,
     _refine,
 )
-from symcap.errors import DimensionMismatch, NonConvexParameters, ZeroActionStart
+from symcap.errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NonConvexParameters,
+    ZeroActionStart,
+)
 from symcap.geometry import (
     Ellipsoid,
     Polytope,
@@ -210,6 +215,22 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=MAX_RESTARTS + 1)
     assert OptimizerConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    # counts and seeds are integers; numpy integers are accepted as ints
+    for bad in (
+        dict(points=16.5),
+        dict(points=1e3),
+        dict(restarts=2.5),
+        dict(seed=1.5),
+        dict(seed="0"),
+        dict(seed=-1),
+    ):
+        with pytest.raises(InvalidParameter):
+            OptimizerConfig(**bad)
+    config = OptimizerConfig(
+        seed=np.uint32(7), restarts=np.int64(2), points=np.int32(16)
+    )
+    assert (config.seed, config.restarts, config.points) == (7, 2, 16)
+    assert all(type(v) is int for v in (config.seed, config.restarts, config.points))
 
 
 SIMPLEX4 = Polytope(vertices=np.vstack([np.eye(4), np.full((1, 4), -0.25)]))
@@ -350,11 +371,18 @@ def test_clarke_symmetric_mode(monkeypatch):
 
 
 def test_clarke_polytope_reports_smoothed_value():
-    res = clarke_minimize(cube(4), OptimizerConfig(points=64, restarts=2, seed=7))
-    assert "smoothed_value" in res.diagnostics
-    assert res.diagnostics["smoothing_p"] == 10240.0  # the last level's
-    # smoothed support dominates the exact one, so the reported value is tighter
-    assert res.value <= res.diagnostics["smoothed_value"] + 1e-12
+    config = OptimizerConfig(points=64, restarts=2, seed=7)
+    for body in (lp_ball(1, [1.0, 1.0, 1.0, 1.0]), cube(4)):
+        res = clarke_minimize(body, config)
+        assert res.diagnostics["smoothing_p"] == 10240.0  # the last level's
+        # the functional the last level minimized, at the witness
+        smoothed = reference_functional_with_grad(
+            body, frame_for(body), res.witness.vertices, 10240.0
+        )[0]
+        assert res.diagnostics["smoothed_value"] == smoothed
+        # smoothed support dominates the exact one, so the reported value is
+        # tighter
+        assert res.value <= smoothed + 1e-12
     # cube capacity is 4; the coarse run must stay in its neighbourhood above
     assert res.value >= 4.0 - 1e-6
     assert res.value <= 4.0 * 1.1
@@ -651,7 +679,7 @@ def test_c_j_ascent_allocates_no_pair_matrix():
 
 def test_c_j_method_validation():
     for method in ("bogus", "exact"):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             c_j(ball(4), method=method)
     with pytest.raises(DimensionMismatch):
         c_j(ball(3))

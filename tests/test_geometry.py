@@ -330,6 +330,46 @@ def test_zero_vector_still_raises(name, body, method):
             getattr(body, method)(x)
 
 
+TINY_BODIES = [
+    ("cube", cube(4)),
+    ("l4-ball", lp_ball(4, [1.0, 1.0, 1.0, 1.0])),
+    ("ball", ball(4)),
+    (
+        "shifted-ellipsoid",
+        Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0], center=[0.2, 0.0, 0.0, 0.1]),
+    ),
+]
+TINY_CASES = [
+    (name, body, method)
+    for name, body in TINY_BODIES
+    for method in ("support_and_point", "gauge_gradient", "boundary_point")
+]
+
+
+@pytest.mark.parametrize(
+    "name,body,method", TINY_CASES, ids=[f"{n}-{m}" for n, _, m in TINY_CASES]
+)
+def test_tiny_rows_raise_or_answer_for_their_direction(name, body, method):
+    # a kernel may raise on a row too small to tell from 0 (an underflowing
+    # quadratic form or norm, a polytope row whose scores all tie), but it
+    # never answers for another direction
+    kernel = getattr(body, method)
+    with pytest.raises(GradientUndefinedAtZero):
+        kernel(np.zeros(4))
+    for sign in (1.0, -1.0):
+        unit = sign * np.ones(4)
+        try:
+            tiny = kernel(1e-170 * unit)
+        except GradientUndefinedAtZero:
+            continue
+        if method == "support_and_point":
+            (h_tiny, tiny), (h_unit, at_unit) = tiny, kernel(unit)
+            assert h_tiny == pytest.approx(1e-170 * h_unit, rel=1e-12)
+        else:
+            at_unit = kernel(unit)
+        assert np.allclose(tiny, at_unit, rtol=1e-12, atol=0.0), (sign, tiny)
+
+
 @pytest.mark.parametrize(
     "name,body", KERNEL_BODIES, ids=[n for n, _ in KERNEL_BODIES]
 )

@@ -98,21 +98,27 @@ def test_mfold_bulk_identity_and_invariance():
             assert rec["candidate_action"] == pytest.approx(
                 predicted, rel=1e-9, abs=1e-9
             )
-        best = max(r["candidate_action"] for r in out.decomposition)
+        actions = [r["candidate_action"] for r in out.decomposition]
+        best = max(actions)
         assert best >= out.pre_action - 1e-8
         assert out.residuals["symmetry"] <= 1e-9
         assert out.post_action == pytest.approx(1.0, rel=1e-9)
+        # the output is the checked candidate, the first of largest action,
+        # scaled to unit action
+        assert out.chosen_index == int(np.argmax(actions))
+        candidate = out.output.vertices * math.sqrt(actions[out.chosen_index])
+        assert frame.polygon_action(candidate) == pytest.approx(best, rel=1e-12)
         # exact invariance of the output under the rotation
-        v = out.output.vertices
-        block = len(v) // m
-        assert np.max(
-            np.abs(np.roll(v, -block, axis=0) - frame.root_multiply(m, 1, v))
-        ) <= 1e-9
-        if m in (2, 4):  # W = -I and W = J are signed permutations
-            assert out.residuals["symmetry"] == 0.0
-            assert np.array_equal(
-                np.roll(v, -block, axis=0), frame.root_multiply(m, 1, v)
-            )
+        for v in (out.output.vertices, candidate):
+            block = len(v) // m
+            assert np.max(
+                np.abs(np.roll(v, -block, axis=0) - frame.root_multiply(m, 1, v))
+            ) <= 1e-9
+            if m in (2, 4):  # W = -I and W = J are signed permutations
+                assert out.residuals["symmetry"] == 0.0
+                assert np.array_equal(
+                    np.roll(v, -block, axis=0), frame.root_multiply(m, 1, v)
+                )
 
 
 def test_mfold_two_equals_central():
