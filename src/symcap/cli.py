@@ -142,7 +142,8 @@ def _cmd_verify(args):
         margins = rec.margins()
         worst = fmt(min(margins)) if margins else ""
         print(f"{rec.body_id}: {rec.status} worst_margin {worst}")
-    print(f"reports written to {args.out}")
+    # a path from argv bytes that are not UTF-8 holds lone surrogates
+    print(f"reports written to {args.out}".encode(errors="backslashreplace").decode())
     return exit_code
 
 
@@ -225,6 +226,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SpecParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except SymcapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ gauge(0) = support(0) = 0; the points are not: ``support_and_point``,
 batch holding a zero row, for every body, and on a nonzero row too small to
 tell from 0 rather than answer for another direction: ellipsoid kernels and
 ``boundary_point`` where their quadratic form or norm underflows to 0,
-polytope kernels where all scores tie (rows below about 1e-12).
+polytope kernels where all scores tie within 1e-12 of the row's maximum.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ from .errors import (
 from .symplectic import SymplecticFrame
 
 _SYM_TOL = 1e-9
+
+
+def _has_zero(a) -> bool:
+    """Whether a holds an exact 0 (NaN is nonzero); scalar cost at ndim 0."""
+    return a == 0.0 if a.ndim == 0 else np.count_nonzero(a) < a.size
 
 
 def _finite(name, values) -> np.ndarray:
@@ -98,8 +103,7 @@ class ConvexBody:
     def boundary_point(self, direction) -> np.ndarray:
         """The unique boundary point on the open ray spanned by direction."""
         d = self._check_vec(direction)
-        norms = np.linalg.norm(d, axis=-1)
-        if np.any(norms == 0.0):
+        if _has_zero(np.linalg.norm(d, axis=-1)):
             raise GradientUndefinedAtZero("boundary ray undefined for direction 0")
         g = self.gauge(d)
         return d / np.asarray(g)[..., None]
@@ -204,7 +208,7 @@ class Ellipsoid(ConvexBody):
         u = self._check_vec(u)
         mu = u @ self._inv
         quad = np.add.reduce(mu * u, axis=-1)
-        if (quad == 0.0).any():
+        if _has_zero(quad):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         root = np.sqrt(quad)
         return u @ self.center + root, self.center + mu / root[..., None]
@@ -214,8 +218,7 @@ class Ellipsoid(ConvexBody):
         # y = x / g(x) and rescale so that <grad, x> = g(x).
         x = self._check_vec(x)
         quad, g = self._quad_and_gauge(x)
-        g = np.asarray(g)
-        if (quad == 0.0).any() or (g == 0.0).any():
+        if _has_zero(quad) or _has_zero(g):
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
         y = x / g[..., None]
         nu = (y - self.center) @ self.matrix
@@ -299,7 +302,7 @@ class LpBall(ConvexBody):
         u = self._check_vec(u)
         z = np.abs(u) * self.weights
         m = np.maximum.reduce(z, axis=-1)
-        if (m == 0.0).any():
+        if _has_zero(m):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         zn = z / m[..., None]
         s = np.add.reduce(zn**self.q, axis=-1)
@@ -312,7 +315,7 @@ class LpBall(ConvexBody):
         x = self._check_vec(x)
         t = np.abs(x) / self.weights
         m = np.maximum.reduce(t, axis=-1)
-        if (m == 0.0).any():
+        if _has_zero(m):
             raise GradientUndefinedAtZero("gauge gradient undefined at 0")
         tn = t / m[..., None]
         s = np.add.reduce(tn**self.p, axis=-1)
@@ -513,10 +516,10 @@ def _dedupe_rows(pts, rel_tol=1e-9):
 
 
 def _ranked_argmax(scores, rank, what, rel_tol=1e-12):
-    """Max and argmax along the last axis, near ties broken by smallest rank.
-    A row whose scores all tie (0, or below about rel_tol) raises."""
+    """Max and argmax along the last axis, ties within rel_tol of the row's
+    own maximum broken by smallest rank.  A row whose scores all tie raises."""
     mx = np.maximum.reduce(scores, axis=-1)
-    tied = scores >= (mx - rel_tol * np.maximum(1.0, np.abs(mx)))[..., None]
+    tied = scores >= (mx - rel_tol * np.abs(mx))[..., None]
     if tied.all(axis=-1).any():
         raise GradientUndefinedAtZero(f"{what} undefined for direction 0")
     ranked = np.where(tied, rank, np.iinfo(np.int64).max)

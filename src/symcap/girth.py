@@ -6,11 +6,12 @@ neighbor graph over antipodally paired boundary samples supplies globally
 reasonable half-curves from a point to its antipode, and a projected,
 strictly monotone local descent tightens the half while keeping every vertex
 on the boundary.  The half-curve starts at a sample x of least graph
-distance d(x, -x), any one of them: the band of samples on edges that cross
-x0 = 0, which every antipodal path passes, holds such an x, and Dijkstra
-searches from the band cut off at about half of d(x, -x), where the
-searches from x and -x meet, find it.  The curve is stored as one half plus
-its reflection, so central symmetry is exact by construction.
+distance d(x, -x), any one of them: a shortest path from such an x to -x
+crosses x0 = 0 on an edge whose two ends are both such x, so the ends
+nearer x0 = 0 of the crossing edges hold one, and Dijkstra searches from
+them cut off at about half of d(x, -x), where the searches from x and -x
+meet, find it.  The curve is stored as one half plus its reflection, so
+central symmetry is exact by construction.
 
 ``check_schaffer_bound`` reports the margin of a symmetric boundary loop
 against the guaranteed lower bound 4 + 4/d (even dimension; 4 + 4/(d-1) in
@@ -161,14 +162,17 @@ def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
 
 
 def _band_sources(bgraph: BoundaryGraph) -> np.ndarray:
-    """Pair indices (mod p/2) of the band: the samples in S with a neighbor
-    outside S.  S = {x0 > 0} plus the samples at x0 = 0 of index below p/2,
-    so it holds exactly one sample of each antipodal pair."""
+    """Pair indices (mod p/2) of one end of each cut edge (u, w), u in S and w
+    not: u if |x0[u]| <= |x0[w]|, else w.  S = {x0 > 0} plus the samples at
+    x0 = 0 of index below p/2, one of each antipodal pair, so -w is in S and
+    the set is part of the band, the samples in S with a neighbor outside S."""
     p = bgraph.size
     x0 = bgraph.samples[:, 0]
     inside = (x0 > 0) | ((x0 == 0) & (np.arange(p) < p // 2))
     edges = bgraph.graph.tocoo()
-    return np.unique(edges.row[inside[edges.row] & ~inside[edges.col]] % (p // 2))
+    cut = inside[edges.row] & ~inside[edges.col]
+    u, w = edges.row[cut], edges.col[cut]
+    return np.unique(np.where(np.abs(x0[u]) <= np.abs(x0[w]), u, w) % (p // 2))
 
 
 def _meet_values(graph, antipode, sources, best) -> np.ndarray:
@@ -195,17 +199,18 @@ def _shortest_antipodal_source(bgraph: BoundaryGraph) -> int:
     """A sample x < p/2 of minimal graph distance D(x) = d(x, -x).
 
     Lemma: S (see ``_band_sources``) is odd, so a shortest path P from x to
-    -x has an edge (u, w) with u in S and w not, u in the band.  Both arcs
-    from u to -u of the closed walk P + (-P) have length D(x): D(u) <= D(x)
-    and d(u, x) + d(u, -x) <= D(x).  So the band holds a minimizer, whose
-    cut-off row reads its D exactly, and no meet value is below its source's
-    D: the band source of least meet value is a minimizer.  Which one, on a
-    graph with several, is left to rounding.
+    -x has an edge (u, w) with u in S and w not.  u and w both lie on the
+    closed walk P + (-P), whose two arcs from a vertex v to -v have length
+    D(x): D(u) <= D(x), D(w) <= D(x) and d(v, x) + d(v, -x) <= D(x).  So
+    any set holding one endpoint of every cut edge, as ``_band_sources``
+    does, holds a minimizer, whose cut-off row reads its D exactly, and no
+    meet value is below its source's D: the source of least meet value is a
+    minimizer.  Which one, on a graph with several, is left to rounding.
     """
     graph, antipode = bgraph.graph, bgraph.antipode
-    band = _band_sources(bgraph)
-    best = float(dijkstra(graph, indices=band[0])[antipode[band[0]]])
-    return int(band[np.argmin(_meet_values(graph, antipode, band, best))])
+    sources = _band_sources(bgraph)
+    best = float(dijkstra(graph, indices=sources[0])[antipode[sources[0]]])
+    return int(sources[np.argmin(_meet_values(graph, antipode, sources, best))])
 
 
 def _half_length_and_grad(body, half):

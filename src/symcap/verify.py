@@ -172,9 +172,8 @@ def verify_body(entry: dict, index: int, seed: int, profile_params: dict):
 
 
 def write_reports(records, out_dir, seed, profile, tol, timings=False):
-    """Write report.csv and report.json; returns their paths."""
+    """Write report.csv and report.json into out_dir; returns their paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
 
@@ -216,8 +215,8 @@ def run_verify(
     ``suite`` is a suite dict or a path to one.  Its profiles extend and
     override those of the packaged suite.  Exit code 0 means every body was
     processed and every inequality margin is at least -tol; any error or
-    violated margin gives 1.
-    """
+    violated margin gives 1.  An ``out_dir`` that cannot be made raises
+    OSError before any body runs."""
     if not math.isfinite(tol):  # it would pass or fail every margin alike
         raise InvalidParameter(f"tolerance must be finite, got {tol!r}")
     suite = load_suite(suite)
@@ -244,6 +243,7 @@ def run_verify(
         check_sample_count(params["girth_samples"])
     except InvalidParameter as exc:
         raise InvalidParameter(f"profile {profile!r}: {exc}") from None
+    Path(out_dir).mkdir(parents=True, exist_ok=True)  # fails before any body runs
     records = [
         verify_body(entry, i, seed, params) for i, entry in enumerate(suite["bodies"])
     ]

@@ -471,7 +471,7 @@ def reference_support_and_point(body, u):
         scores = u @ body.vertices.T
         h = np.max(scores, axis=-1)
         order = np.lexsort(body.vertices.T[::-1])
-        tied = scores[..., order] >= (h - 1e-12 * np.maximum(1.0, np.abs(h)))[..., None]
+        tied = scores[..., order] >= (h - 1e-12 * np.abs(h))[..., None]
         return h, body.vertices[order][np.argmax(tied, axis=-1)]
     z = np.abs(u) * body.weights
     m = np.max(z, axis=-1)

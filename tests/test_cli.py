@@ -396,6 +396,87 @@ def test_verify_bad_profile_value_exits_2_before_any_body(
     assert not out.exists()
 
 
+def command_argv(tmp_path, command):
+    """A small run of a command that takes --out, before its --out."""
+    body = write_json(tmp_path, "ball2.json", BALL2)
+    return {
+        "flow": ["flow", body, "--tmax", "0.01", "--start", "1,0"],
+        "symmetrize": [
+            "symmetrize", write_json(tmp_path, "loop.json", TRIANGLE), "--body", body
+        ],
+        "verify": [
+            "verify",
+            write_json(
+                tmp_path, "suite.json", {"bodies": [BALL2], "profiles": FUZZ_PROFILES}
+            ),
+            "--profile", "tiny",
+        ],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [
+        ("flow", "DIR"),
+        ("flow", "FILE/sub"),
+        ("flow", "missing/dir/x"),
+        ("symmetrize", "DIR"),
+        ("symmetrize", "FILE/sub"),
+        ("symmetrize", "missing/dir/x"),
+        ("verify", "FILE"),
+        ("verify", "FILE/sub"),
+    ],
+)
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, command, out):
+    # verify makes its report directory before any body runs
+    ran = []
+    monkeypatch.setattr(verify, "verify_body", lambda *a: ran.append(1))
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    argv = command_argv(tmp_path, command) + ["--out", str(tmp_path / out)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path / out}: "), err
+    assert err.count("\n") == 1
+    assert not ran
+
+
+# the string options, each with the commands that read it
+STRING_CASES = [
+    ("flow", "--start", v)
+    for v in ["", "a,b,c,d", "1,0", "0,0", "nan,0", "1e400,0", "inf,0", "1,,0",
+              " 1 , 0 ", "1_0,0", "0x1,0", "1,0,0", "5e-324,0", "1e308,1e308", ",",
+              "\udc80"]
+] + [
+    ("verify", "--profile", v)
+    for v in ["", "tiny", "fast", "nope", "FAST", " tiny", "profiles", "\udc80",
+              "x" * 300]
+] + [
+    (command, "--out", v)
+    for command in ["flow", "symmetrize", "verify"]
+    for v in ["", ".", "DIR", "DIR/", "FILE", "FILE/sub", "missing/dir/x", "x" * 300,
+              "\udc80"]
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    STRING_CASES,
+    ids=[f"{c}{o}={v[:12]!r}" for c, o, v in STRING_CASES],
+)
+def test_string_options_exit_0_1_or_2(tmp_path, capsys, monkeypatch, command, option, value):
+    monkeypatch.chdir(tmp_path)  # relative --out values land here
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    try:
+        code = main(command_argv(tmp_path, command) + [f"{option}={value}"])
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -370,6 +370,19 @@ def test_tiny_rows_raise_or_answer_for_their_direction(name, body, method):
         assert np.allclose(tiny, at_unit, rtol=1e-12, atol=0.0), (sign, tiny)
 
 
+def test_small_polytope_rows_tie_within_their_own_scale():
+    # polytope near ties are taken relative to the row's own maximum, so a
+    # row below scale 1 keeps the answer of its direction at scale 1, not a
+    # facet or vertex whose score is merely within 1e-12 of it in absolute terms
+    body = cube(4)
+    u = 1e-12 * np.array([1.0, 0.1, 0.0, 0.0])
+    assert np.array_equal(body.gauge_gradient(u), [1.0, 0.0, 0.0, 0.0])
+    h, point = body.support_and_point(u)
+    assert h == pytest.approx(1.1e-12, rel=1e-12)
+    assert np.array_equal(point, [1.0, 1.0, -1.0, -1.0])
+    assert np.array_equal(point, body.support_point(u / 1e-12))
+
+
 @pytest.mark.parametrize(
     "name,body", KERNEL_BODIES, ids=[n for n, _ in KERNEL_BODIES]
 )

@@ -250,17 +250,44 @@ def test_girth_source_is_the_full_sweep_argmin(
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_girth_band_holds_a_shortest_antipodal_pair(body, n_samples, directions, seed):
-    # every x -> -x path leaves {x0 > 0} through a band sample u, and
-    # d(u, -u) is at most the path's length, as long as x -> -x maps the
-    # graph onto itself, also where neighbor distances tie (the grid)
+    # every x -> -x path leaves S through a cut edge (u, w), and d(u, -u) and
+    # d(w, -w) are both at most the path's length, as long as x -> -x maps
+    # the graph onto itself, also where neighbor distances tie (the grid):
+    # so one endpoint of each cut edge is enough
     bg = build_boundary_graph(
         body, n_samples=n_samples, rng=seed, directions=directions
     )
     assert (bg.graph != bg.graph[bg.antipode][:, bg.antipode]).nnz == 0
-    band = girth._band_sources(bg)
+    sources = girth._band_sources(bg)
+    cut, band = cut_edges_and_band(bg)
+    half = bg.size // 2
+    assert np.all(np.isin(cut % half, sources).any(axis=1))
+    assert np.all(np.isin(sources, band))
     dists = reference_antipodal_distances(bg)
-    assert len(band) < bg.size // 2
-    assert dists[band].min() == pytest.approx(dists.min(), rel=1e-12, abs=0)
+    assert len(sources) < half
+    assert dists[sources].min() == pytest.approx(dists.min(), rel=1e-12, abs=0)
+
+
+def cut_edges_and_band(bgraph):
+    """The edges (u, w) with u in S and w not, and the band: the pair indices
+    (mod p/2) of the samples in S with a neighbor outside S."""
+    p = bgraph.size
+    x0 = bgraph.samples[:, 0]
+    inside = (x0 > 0) | ((x0 == 0) & (np.arange(p) < p // 2))
+    edges = bgraph.graph.tocoo()
+    cut = np.stack([edges.row, edges.col], axis=1)
+    cut = cut[inside[cut[:, 0]] & ~inside[cut[:, 1]]]
+    return cut, np.unique(cut[:, 0] % (p // 2))
+
+
+def test_girth_sources_are_fewer_than_the_band():
+    # one endpoint per cut edge: on a suite body at the full profile's
+    # sample count, fewer sources than the band has
+    bg = build_boundary_graph(Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4096)
+    sources = girth._band_sources(bg)
+    _, band = cut_edges_and_band(bg)
+    assert np.all(np.isin(sources, band))
+    assert len(sources) < len(band)
 
 
 # FOUND in CHANGES.md: `refine_symmetric_half` can push a 2-d girth below
