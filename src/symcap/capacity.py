@@ -237,6 +237,40 @@ def _functional_with_grad(body, x, m, p):
     return val, grad
 
 
+@functools.lru_cache(maxsize=16)
+def _edge_plan(dim: int, m: int):
+    """R = (W - I)^-1 acting on rows, W = root_multiply(m, 1), m in {2, 4}:
+    the n free edges sum to (W - I) y_0, so y_0 = (sum_k u_k) R."""
+    eye = np.eye(dim)
+    close = np.linalg.inv(SymplecticFrame(dim // 2).root_multiply(m, 1, eye) - eye)
+    close.flags.writeable = False  # shared by every caller
+    return close
+
+
+def _to_edges(frame, y, m):
+    """Edges u_k = y_{k+1} - y_k of the free vertices, y_n = W y_0: all n for
+    m in {2, 4}, the first n - 1 at m = 1 (the last is minus their sum)."""
+    u = np.diff(y, axis=0, append=frame.root_multiply(m, 1, y[:1]))
+    return u[:-1] if m == 1 else u
+
+
+def _to_vertices(u, m, y0):
+    """Inverse of ``_to_edges``: y_k = y_0 + u_0 + ... + u_{k-1}.  At m = 1
+    the edges leave y_0 free and the given y0 is kept (the functional is
+    translation invariant); otherwise y_0 closes the loop and y0 is unused."""
+    if m > 1:
+        y0, u = u.sum(axis=0) @ _edge_plan(u.shape[1], m), u[:-1]
+    return np.cumsum(np.vstack([y0, u]), axis=0)
+
+
+def _edge_gradient(g, m):
+    """A gradient g in the vertices pulled back through ``_to_vertices``:
+    dF/du_j = sum_{k > j} g_k, plus (sum_k g_k) R^T for m in {2, 4}."""
+    out = np.zeros_like(g)
+    np.cumsum(g[:0:-1], axis=0, out=out[-2::-1])
+    return out[:-1] if m == 1 else out + g.sum(axis=0) @ _edge_plan(g.shape[1], m).T
+
+
 # ---------------------------------------------------------------------------
 # Startup calibration
 # ---------------------------------------------------------------------------
@@ -310,10 +344,10 @@ def symmetry_order(body: ConvexBody, config: OptimizerConfig) -> int:
 def _levels(body: ConvexBody, n_pts: int, m: int):
     """(point count, smoothing p, iteration cap) per continuation level,
     coarsest first.  A count is halved only while it stays a multiple of m
-    and at least 4m.  The last point level alone runs to MAX_ITERATIONS;
-    smoothing levels all stop at LEVEL_ITERATIONS, since at p = 10240 the
-    functional is nearly as kinked as the exact one and more iterations
-    barely lower the value."""
+    and at least 4m.  The last point level alone may run to MAX_ITERATIONS,
+    every other level to LEVEL_ITERATIONS: 1 of 544 smoothing levels of the
+    cube and the cross-polytope reach it (128 and 256 points, seeds 0-7, 4
+    restarts), and a cap of 5000 changes none of their values."""
     if not body.is_smooth:
         return [(n_pts, p, LEVEL_ITERATIONS) for p in SMOOTHING_LEVELS]
     counts = [n_pts]
@@ -348,25 +382,31 @@ def clarke_minimize(
 ) -> CapacityResult:
     """Minimize the dual action functional over discrete loops.
 
-    Multistart quasi-Newton descent on the vertex coordinates of the loops
-    with x_{k + N/m} = W x_k, where m = ``symmetry_order``: only the first
-    N/m vertices are free, all N when m = 1.  The restarts run the levels
-    of ``_levels`` together, each warm-started from its own last iterate: on
-    a polytope the smoothing exponent p = 40, 160, ..., 10240 at N points,
-    on a smooth body N/8, N/4, N/2 and N points, each finer loop seeded by
-    ``_refine``.  Only the restart with the least exact value after the
-    second-to-last level (the first on ties) runs the last one (diagnostics
+    Multistart quasi-Newton descent over the loops with x_{k + N/m} =
+    W x_k, where m = ``symmetry_order``: only the first N/m vertices are
+    free, all N when m = 1.  L-BFGS-B's variables are their edges
+    (``_to_edges``): Clarke's principle is posed on velocities, and in the
+    vertices the length's Hessian is a discrete Laplacian, conditioned like
+    N^2.  Each level maps its start to edges and its result back; all else
+    works on vertices.  The restarts run the levels of ``_levels``
+    together, each warm-started from its own last iterate: on a polytope
+    the smoothing exponent p = 40, 160, ..., 10240 at N points, on a smooth
+    body N/8, N/4, N/2 and N points, each finer loop seeded by ``_refine``.
+    Only the restart with the least exact value after the second-to-last
+    level (the first on ties) runs the last one (diagnostics
     ``levels_run``); the others are carried to N points by ``_refine``,
     which keeps their value.  (A polytope's smoothed value ranks worse: at
-    p = 2560 the cross-polytope's restarts agree in it to 1e-7 and differ
-    in the exact value by 1e-4.)  A translated ellipsoid is solved on its
-    centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u) +
-    <u, c> and the edges u_k sum to zero, so the functional is the same.
+    p = 2560 the cross-polytope's restarts agree in it to 4e-8 and differ
+    in the exact value by up to 1.3e-4.)  A translated ellipsoid is solved
+    on its centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u)
+    + <u, c> and the edges u_k sum to zero, so the functional is the same.
     Every restart's full loop is evaluated on the body itself with the
     exact support function, oriented and at unit action
     (``_unit_action_loop``), so each is a genuine discrete upper bound; the
-    least is the value, its loop the witness.  For polytopes the smoothed
-    value of the last level is kept in the diagnostics.
+    least is the value, its loop the witness.  A restart's ``converged``
+    is L-BFGS-B's own stop, not its iteration cap, on the last level that
+    restart ran.  For polytopes the smoothed value of the last level is
+    kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
@@ -377,11 +417,10 @@ def clarke_minimize(
     levels = _levels(solve_body, n_pts, m)
     scale = 0.5 * solve_body.outer_radius()
 
-    def objective(flat, p):
-        val, grad = _functional_with_grad(
-            solve_body, flat.reshape(-1, frame.dim), m, p
-        )
-        return val, grad.ravel()
+    def objective(flat, p, y0):
+        y = _to_vertices(flat.reshape(-1, frame.dim), m, y0)
+        val, grad = _functional_with_grad(solve_body, y, m, p)
+        return val, _edge_gradient(grad, m).ravel()
 
     def full_loop(y):
         while m * len(y) < n_pts:
@@ -418,15 +457,15 @@ def clarke_minimize(
                 ys[k] = _refine(frame, ys[k], m)
             res = results[k] = minimize(
                 objective,
-                ys[k].ravel(),
-                args=(p,),
+                _to_edges(frame, ys[k], m).ravel(),
+                args=(p, ys[k][0]),
                 jac=True,
                 method="L-BFGS-B",
                 options=dict(
                     maxiter=max_iterations, ftol=F_RTOL, gtol=G_TOL, maxcor=20
                 ),
             )
-            ys[k] = res.x.reshape(-1, frame.dim)
+            ys[k] = _to_vertices(res.x.reshape(-1, frame.dim), m, ys[k][0])
             iterations[k] += int(res.nit)
             levels_run[k] += 1
 
