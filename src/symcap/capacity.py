@@ -97,8 +97,8 @@ class OptimizerConfig:
     """Knobs for the Clarke dual minimization.
 
     ``points`` is the loop size of the last continuation level: every
-    restart solves coarser loops or smoother supports first, and only the
-    leading one runs the last level (``clarke_minimize``), on a fixed
+    restart solves the coarsest loop or smoothest support, and only the
+    leading one runs the finer levels (``clarke_minimize``), on a fixed
     schedule that has no knob here.  Every solve keeps the body's own
     symmetry (``symmetry_order``).  ``symmetric`` has no effect and must
     stay True; it is kept only because the benchmark's workloads pass it,
@@ -392,21 +392,25 @@ def clarke_minimize(
     together, each warm-started from its own last iterate: on a polytope
     the smoothing exponent p = 40, 160, ..., 10240 at N points, on a smooth
     body N/8, N/4, N/2 and N points, each finer loop seeded by ``_refine``.
-    Only the restart with the least exact value after the second-to-last
-    level (the first on ties) runs the last one (diagnostics
-    ``levels_run``); the others are carried to N points by ``_refine``,
-    which keeps their value.  (A polytope's smoothed value ranks worse: at
-    p = 2560 the cross-polytope's restarts agree in it to 4e-8 and differ
-    in the exact value by up to 1.3e-4.)  A translated ellipsoid is solved
-    on its centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u)
-    + <u, c> and the edges u_k sum to zero, so the functional is the same.
+    Every restart runs the first level; only the one with the least exact
+    value after it (the first on ties) runs the later ones (diagnostics
+    ``levels_run``), and the others are carried to N points by
+    ``_refine``, which keeps their value.  On a symmetric smooth body the
+    restarts share one basin; on the suite's cube and cross-polytope,
+    ranking after p = 40 gives the same value as ranking after p = 2560,
+    bit for bit, at ``verify`` seeds 0-7 of both profiles.  (A polytope's
+    smoothed value ranks worse: at p = 2560 the cross-polytope's restarts
+    agree in it to 4e-8 and differ in the exact value by up to 1.3e-4.)  A
+    translated ellipsoid is solved on its centered copy, whose symmetry
+    may be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to
+    zero, so the functional is the same.
     Every restart's full loop is evaluated on the body itself with the
     exact support function, oriented and at unit action
     (``_unit_action_loop``), so each is a genuine discrete upper bound; the
     least is the value, its loop the witness.  A restart's ``converged``
     is L-BFGS-B's own stop, not its iteration cap, on the last level that
-    restart ran.  For polytopes the smoothed value of the last level is
-    kept in the diagnostics.
+    restart ran: the first level for a pruned one.  For polytopes the
+    smoothed value of the last level is kept in the diagnostics.
     """
     calibration_self_test()
     config = config or OptimizerConfig()
@@ -448,7 +452,7 @@ def clarke_minimize(
     levels_run = [0] * config.restarts
     racing = range(config.restarts)
     for level, (n, p, max_iterations) in enumerate(levels):
-        if level and level == len(levels) - 1:
+        if level == 1:
             racing = [
                 min(racing, key=lambda k: clarke_functional(body, full_loop(ys[k])))
             ]
