@@ -395,15 +395,17 @@ def clarke_minimize(
     Every restart runs the first level; only the one with the least exact
     value after it (the first on ties) runs the later ones (diagnostics
     ``levels_run``), and the others are carried to N points by
-    ``_refine``, which keeps their value.  On a symmetric smooth body the
-    restarts share one basin; on the suite's cube and cross-polytope,
-    ranking after p = 40 gives the same value as ranking after p = 2560,
-    bit for bit, at ``verify`` seeds 0-7 of both profiles.  (A polytope's
-    smoothed value ranks worse: at p = 2560 the cross-polytope's restarts
-    agree in it to 4e-8 and differ in the exact value by up to 1.3e-4.)  A
-    translated ellipsoid is solved on its centered copy, whose symmetry
-    may be larger: h_{K+c}(u) = h_K(u) + <u, c> and the edges u_k sum to
-    zero, so the functional is the same.
+    ``_refine``, which keeps their value.  On the suite's symmetric smooth
+    bodies at 128 and 256 points the restarts share one basin, though not
+    at every point count: on the l4 ball at 32 points a rounding-level
+    change to the solver made the race keep a restart that ended 2.5e-5
+    above one it pruned.  On the suite's cube and cross-polytope, ranking after p = 40 gives the same value as ranking
+    after p = 2560, bit for bit, at ``verify`` seeds 0-7 of both profiles.
+    (A polytope's smoothed value ranks worse: at p = 2560 the
+    cross-polytope's restarts agree in it to 4e-8 and differ in the exact
+    value by up to 1.3e-4.)  A translated ellipsoid is solved on its
+    centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u) +
+    <u, c> and the edges u_k sum to zero, so the functional is the same.
     Every restart's full loop is evaluated on the body itself with the
     exact support function, oriented and at unit action
     (``_unit_action_loop``), so each is a genuine discrete upper bound; the

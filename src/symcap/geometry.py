@@ -6,8 +6,11 @@ Every body K exposes the same small contract:
 * ``support(u)``        support function h_K(u) = max_{y in K} <u, y>
 * ``support_and_point(u)`` h_K(u) and a maximizer of <u, .> over K, one kernel
 * ``support_point(u)``  that maximizer alone, defined once in ``ConvexBody``
-* ``gauge_gradient(x)`` gradient (or a deterministic subgradient selection)
-* ``polar()``           the polar body, satisfying h_K = g_{K polar}
+* ``polar()``           the polar body, satisfying h_K = g_{K polar}; built once
+  and linked back, so ``K.polar().polar() is K``
+* ``gauge_gradient(x)`` the support point of the polar at x, defined once in
+  ``ConvexBody``: g_K = h_{K polar}, so it is the gradient of g_K, and on a
+  polytope a deterministic subgradient selection
 * ``boundary_point(d)`` the boundary point on the ray through d
 * ``is_invariant(m)``    whether W = ``root_multiply(m, 1)`` maps K onto itself
   (W = -I at m = 2, J at m = 4), exact per class up to one tolerance;
@@ -64,6 +67,7 @@ class ConvexBody:
         if dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
+        self._polar = None
 
     # -- subclass responsibilities -------------------------------------
     def gauge(self, x):  # pragma: no cover - abstract
@@ -75,10 +79,7 @@ class ConvexBody:
     def support_and_point(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def gauge_gradient(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def polar(self) -> "ConvexBody":  # pragma: no cover - abstract
+    def _build_polar(self) -> "ConvexBody":  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _maps_onto_itself(self, m: int, w) -> bool:  # pragma: no cover - abstract
@@ -111,6 +112,17 @@ class ConvexBody:
     def support_point(self, u):
         """A maximizer of <u, .> over K: the point of ``support_and_point``."""
         return self.support_and_point(u)[1]
+
+    def polar(self) -> "ConvexBody":
+        """The polar body, built on first use; its polar is this body."""
+        if self._polar is None:
+            self._polar = self._build_polar()
+            self._polar._polar = self
+        return self._polar
+
+    def gauge_gradient(self, x):
+        """The support point of the polar at x (g_K = h_{K polar})."""
+        return self.polar().support_point(x)
 
     def is_invariant(self, m: int) -> bool:
         """Whether W = ``root_multiply(m, 1)`` maps K onto itself.
@@ -188,15 +200,13 @@ class Ellipsoid(ConvexBody):
         return self._sqrt.copy()
 
     def gauge(self, x):
-        return self._quad_and_gauge(self._check_vec(x))[1]
-
-    def _quad_and_gauge(self, x):
+        x = self._check_vec(x)
         a = np.einsum("...i,ij,...j->...", x, self.matrix, x)
         if self._e == 0.0:
-            return a, np.sqrt(np.maximum(a, 0.0))
+            return np.sqrt(np.maximum(a, 0.0))
         b = x @ (self.matrix @ self.center)
         one_e = 1.0 - self._e
-        return a, (np.sqrt(np.maximum(b * b + one_e * a, 0.0)) - b) / one_e
+        return (np.sqrt(np.maximum(b * b + one_e * a, 0.0)) - b) / one_e
 
     def support(self, u):
         u = self._check_vec(u)
@@ -213,30 +223,25 @@ class Ellipsoid(ConvexBody):
         root = np.sqrt(quad)
         return u @ self.center + root, self.center + mu / root[..., None]
 
-    def gauge_gradient(self, x):
-        # 0-homogeneous: evaluate the outward normal at the boundary point
-        # y = x / g(x) and rescale so that <grad, x> = g(x).
-        x = self._check_vec(x)
-        quad, g = self._quad_and_gauge(x)
-        if _has_zero(quad) or _has_zero(g):
-            raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-        y = x / g[..., None]
-        nu = (y - self.center) @ self.matrix
-        denom = np.add.reduce(nu * y, axis=-1)
-        return nu / denom[..., None]
-
-    def polar(self) -> "Ellipsoid":
+    def _build_polar(self) -> "Ellipsoid":
+        # The polar's inverse matrix is known in closed form and handed on:
+        # inverting the polar's matrix again would cost cond(M) in accuracy.
         if self._e == 0.0:
-            return Ellipsoid(self._inv)
+            polar = Ellipsoid(self._inv)
+            polar._inv = self.matrix
+            return polar
         # The polar of a shifted ellipsoid is again a shifted ellipsoid:
         # {y : <y,c> + sqrt(y^T M^-1 y) <= 1} has the quadratic description
-        # y^T Q y + 2<c,y> - 1 <= 0 with Q = M^-1 - c c^T.
+        # y^T Q y + 2<c,y> - 1 <= 0 with Q = M^-1 - c c^T, whose inverse is
+        # M + Mc (Mc)^T / (1 - c^T M c) by Sherman-Morrison.
         c = self.center
         one_e = 1.0 - self._e
         q = self._inv - np.outer(c, c)
-        center_p = -(self.matrix @ c) / one_e
+        mc = self.matrix @ c
         k = 1.0 / one_e
-        return Ellipsoid(q / k, center=center_p)
+        polar = Ellipsoid(q / k, center=-mc / one_e)
+        polar._inv = (self.matrix + np.outer(mc, mc) / one_e) / one_e
+        return polar
 
     def _maps_onto_itself(self, m, w) -> bool:
         # centered, and W M W^T = M; at m = 2 and 4 both products are signed
@@ -311,22 +316,7 @@ class LpBall(ConvexBody):
         )
         return m * s ** (1.0 / self.q), point
 
-    def gauge_gradient(self, x):
-        x = self._check_vec(x)
-        t = np.abs(x) / self.weights
-        m = np.maximum.reduce(t, axis=-1)
-        if _has_zero(m):
-            raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-        tn = t / m[..., None]
-        s = np.add.reduce(tn**self.p, axis=-1)
-        return (
-            np.sign(x)
-            * tn ** (self.p - 1.0)
-            / self.weights
-            / s[..., None] ** ((self.p - 1.0) / self.p)
-        )
-
-    def polar(self) -> "LpBall":
+    def _build_polar(self) -> "LpBall":
         return LpBall(self.q, 1.0 / self.weights)
 
     def _maps_onto_itself(self, m, w) -> bool:
@@ -381,9 +371,8 @@ class Polytope(ConvexBody):
             raise NonConvexParameters(
                 "give either vertices or normals+offsets, not both"
             )
-        # scaled normals used for gauge and its subgradient selection
+        # scaled normals n_i / c_i: the gauge's facet form
         self._facet_grads = self.normals / self.offsets[:, None]
-        self._grad_rank = lexicographic_rank(self._facet_grads)
         self._vertex_rank = lexicographic_rank(self.vertices)
 
     def _build_from_vertices(self, vertices):
@@ -442,7 +431,7 @@ class Polytope(ConvexBody):
     def support_and_point(self, u):
         # the top vertex score; its vertex is the first in rank among near ties
         u = self._check_vec(u)
-        h, idx = _ranked_argmax(u @ self.vertices.T, self._vertex_rank, "support point")
+        h, idx = _ranked_argmax(u @ self.vertices.T, self._vertex_rank)
         return h, self.vertices[idx]
 
     def smoothed_support_and_point(self, u, p: float):
@@ -467,16 +456,7 @@ class Polytope(ConvexBody):
         w = zc ** (p - 1.0) / s_safe[..., None] ** ((p - 1.0) / p)
         return h, w @ verts
 
-    def gauge_gradient(self, x):
-        """Subgradient selection: the scaled outward normal n_i / c_i of a
-        maximizing facet, lexicographically smallest among exact ties."""
-        x = self._check_vec(x)
-        _, idx = _ranked_argmax(
-            x @ self._facet_grads.T, self._grad_rank, "gauge gradient"
-        )
-        return self._facet_grads[idx]
-
-    def polar(self) -> "Polytope":
+    def _build_polar(self) -> "Polytope":
         if self.kind == "polytope_v":
             return Polytope(normals=self.vertices, offsets=np.ones(len(self.vertices)))
         return Polytope(vertices=self._facet_grads)
@@ -515,13 +495,13 @@ def _dedupe_rows(pts, rel_tol=1e-9):
     return pts[np.sort(keep)]
 
 
-def _ranked_argmax(scores, rank, what, rel_tol=1e-12):
+def _ranked_argmax(scores, rank, rel_tol=1e-12):
     """Max and argmax along the last axis, ties within rel_tol of the row's
     own maximum broken by smallest rank.  A row whose scores all tie raises."""
     mx = np.maximum.reduce(scores, axis=-1)
     tied = scores >= (mx - rel_tol * np.abs(mx))[..., None]
     if tied.all(axis=-1).any():
-        raise GradientUndefinedAtZero(f"{what} undefined for direction 0")
+        raise GradientUndefinedAtZero("support point undefined for direction 0")
     ranked = np.where(tied, rank, np.iinfo(np.int64).max)
     return mx, np.argmin(ranked, axis=-1)
 

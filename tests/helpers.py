@@ -343,7 +343,7 @@ def fixture_bodies():
         ("l4ball", lp_ball(4.0, np.ones(4))),
         ("lp-weighted", lp_ball(3.0, np.array([1.0, 0.5, 2.0, 1.0]))),
         ("poly-v", random_symmetric_polytope(rng, 4, 10)),
-        ("poly-h", cube(4).polar().polar()),
+        ("poly-h", lp_ball(1, np.ones(4)).polar()),
     ]
 
 
@@ -424,26 +424,27 @@ def reference_gauge(body, x):
 
 
 def reference_gauge_gradient(body, x):
+    """The support point of the polar at x (g_K = h_{K polar}), the polar
+    written out from the body's public attributes.  An ellipsoid's polar has
+    the inverse matrix M when c = 0, else (M + Mc (Mc)^T / (1 - e)) / (1 - e)
+    with e = c^T M c (Sherman-Morrison), and the center -Mc / (1 - e); an
+    l^p ball's polar has the weights 1 / w, the exponent q and its conjugate
+    q / (q - 1)."""
     x = np.asarray(x, dtype=float)
+    if np.any(~np.any(x, axis=-1)):
+        raise GradientUndefinedAtZero("support point undefined for direction 0")
     if isinstance(body, Ellipsoid):
-        g = np.asarray(reference_gauge(body, x))
-        if np.any(g == 0.0):
-            raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-        y = x / g[..., None]
-        nu = (y - body.center) @ body.matrix
-        return nu / np.sum(nu * y, axis=-1)[..., None]
-    t = np.abs(x) / body.weights
-    m = np.max(t, axis=-1)
-    if np.any(m == 0.0):
-        raise GradientUndefinedAtZero("gauge gradient undefined at 0")
-    tn = t / m[..., None]
-    s = np.sum(tn**body.p, axis=-1)
-    return (
-        np.sign(x)
-        * tn ** (body.p - 1.0)
-        / body.weights
-        / s[..., None] ** ((body.p - 1.0) / body.p)
-    )
+        mat, c = body.matrix, body.center
+        e = float(c @ mat @ c)
+        if e == 0.0:
+            inv, center = mat, np.zeros(body.dim)
+        else:
+            mc = mat @ c
+            inv = (mat + np.outer(mc, mc) / (1.0 - e)) / (1.0 - e)
+            center = -mc / (1.0 - e)
+        return _reference_ellipsoid_support_and_point(inv, center, x)[1]
+    q = body.q / (body.q - 1.0)
+    return _reference_lp_support_and_point(1.0 / body.weights, q, x)[1]
 
 
 def reference_support(body, u):
@@ -462,9 +463,9 @@ def reference_support_and_point(body, u):
     if np.any(~np.any(u, axis=-1)):
         raise GradientUndefinedAtZero("support point undefined for direction 0")
     if isinstance(body, Ellipsoid):
-        mu = u @ np.linalg.inv(body.matrix)
-        root = np.sqrt(np.sum(mu * u, axis=-1))
-        return u @ body.center + root, body.center + mu / root[..., None]
+        return _reference_ellipsoid_support_and_point(
+            np.linalg.inv(body.matrix), body.center, u
+        )
     if isinstance(body, Polytope):
         # the first vertex in lexicographic order whose score is within
         # 1e-12 (relative) of the largest
@@ -473,14 +474,24 @@ def reference_support_and_point(body, u):
         order = np.lexsort(body.vertices.T[::-1])
         tied = scores[..., order] >= (h - 1e-12 * np.abs(h))[..., None]
         return h, body.vertices[order][np.argmax(tied, axis=-1)]
-    z = np.abs(u) * body.weights
+    return _reference_lp_support_and_point(body.weights, body.q, u)
+
+
+def _reference_ellipsoid_support_and_point(inv, center, u):
+    """Support and point of the ellipsoid with inverse matrix inv and center."""
+    mu = u @ inv
+    root = np.sqrt(np.sum(mu * u, axis=-1))
+    return u @ center + root, center + mu / root[..., None]
+
+
+def _reference_lp_support_and_point(weights, q, u):
+    """Support and point of the l^p ball with these weights and conjugate q."""
+    z = np.abs(u) * weights
     m = np.max(z, axis=-1)
     zn = z / m[..., None]
-    s = np.sum(zn**body.q, axis=-1)
-    point = body.weights * np.sign(u) * zn ** (body.q - 1.0) / s[..., None] ** (
-        (body.q - 1.0) / body.q
-    )
-    return m * s ** (1.0 / body.q), point
+    s = np.sum(zn**q, axis=-1)
+    point = weights * np.sign(u) * zn ** (q - 1.0) / s[..., None] ** ((q - 1.0) / q)
+    return m * s ** (1.0 / q), point
 
 
 def reference_smoothed_support_and_point(body, u, p):

@@ -108,6 +108,8 @@ def test_double_polar_is_identity(name, body):
     u = rng.normal(size=(1000, body.dim))
     double = body.polar().polar()
     assert np.allclose(body.gauge(u), double.gauge(u), rtol=1e-9, atol=1e-12)
+    # the polar is built once and linked back
+    assert double is body and body.polar() is body.polar()
 
 
 @pytest.mark.parametrize("name,body", BODIES, ids=[n for n, _ in BODIES])
@@ -183,6 +185,36 @@ def test_gradient_euler_identity_and_fd(name, body):
             xm[j] -= h
             fd = (body.gauge(xp) - body.gauge(xm)) / (2 * h)
             assert abs(fd - grad[i, j]) <= 1e-4
+
+
+def _longdouble_gauge_gradient(body, x):
+    """nu / <nu, y> with nu = M (y - c) at y = x / g(x), in np.longdouble."""
+    ld = np.longdouble
+    mat, c, x = body.matrix.astype(ld), body.center.astype(ld), x.astype(ld)
+    e = c @ mat @ c
+    a = np.einsum("...i,ij,...j->...", x, mat, x)
+    b = x @ (mat @ c)
+    y = x / ((np.sqrt(b * b + (1 - e) * a) - b) / (1 - e))[:, None]
+    nu = (y - c) @ mat
+    return nu / np.sum(nu * y, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5], ids=["centered", "shifted"])
+def test_gauge_gradient_is_accurate_at_cond_1e10(shift):
+    # The polar is handed its inverse matrix in closed form; inverting the
+    # polar's matrix again costs about cond(M) eps, errors near 1e-8 here.
+    # The shifted center lies on the stiffest axis, c^T M c = shift^2: a
+    # center with a component on the soft axes loses up to cond(M) eps in
+    # the gauge itself, with or without the polar.
+    rng = np.random.default_rng(67)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    w = np.logspace(0, 10, 4)
+    body = Ellipsoid((q * w) @ q.T, center=shift * q[:, 3] / np.sqrt(w[3]))
+    assert np.linalg.cond(body.matrix) == pytest.approx(1e10, rel=1e-3)
+    x = rng.normal(size=(64, 4))
+    ref = _longdouble_gauge_gradient(body, x).astype(float)
+    err = np.linalg.norm(body.gauge_gradient(x) - ref) / np.linalg.norm(ref)
+    assert err <= 1e-12
 
 
 def test_polytope_subgradient_facet_normal():
