@@ -1,16 +1,18 @@
 """Convex bodies with the origin inside: gauges, supports, polars.
 
-Every body K exposes the same small contract:
+Every body K exposes the same small contract.  Each class writes the gauge,
+the support-point kernel and the polar; ``ConvexBody`` derives the rest from
+the duality h_K = g_{K polar}:
 
 * ``gauge(x)``          Minkowski gauge g_K, 1-homogeneous, 1 on the boundary
-* ``support(u)``        support function h_K(u) = max_{y in K} <u, y>
 * ``support_and_point(u)`` h_K(u) and a maximizer of <u, .> over K, one kernel
-* ``support_point(u)``  that maximizer alone, defined once in ``ConvexBody``
-* ``polar()``           the polar body, satisfying h_K = g_{K polar}; built once
-  and linked back, so ``K.polar().polar() is K``
-* ``gauge_gradient(x)`` the support point of the polar at x, defined once in
-  ``ConvexBody``: g_K = h_{K polar}, so it is the gradient of g_K, and on a
-  polytope a deterministic subgradient selection
+* ``polar()``           the polar body, built once and linked back, so
+  ``K.polar().polar() is K``
+* ``support(u)``        support function h_K(u) = max_{y in K} <u, y>, the
+  polar's gauge
+* ``support_point(u)``  the maximizer of ``support_and_point`` alone
+* ``gauge_gradient(x)`` the support point of the polar at x: the gradient of
+  g_K, and on a polytope a deterministic subgradient selection
 * ``boundary_point(d)`` the boundary point on the ray through d
 * ``is_invariant(m)``    whether W = ``root_multiply(m, 1)`` maps K onto itself
   (W = -I at m = 2, J at m = 4), exact per class up to one tolerance;
@@ -73,9 +75,6 @@ class ConvexBody:
     def gauge(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def support(self, u):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def support_and_point(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -108,6 +107,10 @@ class ConvexBody:
             raise GradientUndefinedAtZero("boundary ray undefined for direction 0")
         g = self.gauge(d)
         return d / np.asarray(g)[..., None]
+
+    def support(self, u):
+        """h_K(u) = max_{y in K} <u, y>: the gauge of the polar."""
+        return self.polar().gauge(u)
 
     def support_point(self, u):
         """A maximizer of <u, .> over K: the point of ``support_and_point``."""
@@ -178,6 +181,7 @@ class Ellipsoid(ConvexBody):
         center = np.zeros(self.dim) if center is None else self._check_vec(center)
         self.center = _finite("ellipsoid center", center).copy()
         self._e = float(self.center @ self.matrix @ self.center)
+        self._mc = self.matrix @ self.center
         if self._e >= 1.0:
             raise OriginNotInterior(
                 "origin lies outside the shifted ellipsoid (c^T M c >= 1)"
@@ -204,14 +208,9 @@ class Ellipsoid(ConvexBody):
         a = np.einsum("...i,ij,...j->...", x, self.matrix, x)
         if self._e == 0.0:
             return np.sqrt(np.maximum(a, 0.0))
-        b = x @ (self.matrix @ self.center)
+        b = x @ self._mc
         one_e = 1.0 - self._e
         return (np.sqrt(np.maximum(b * b + one_e * a, 0.0)) - b) / one_e
-
-    def support(self, u):
-        u = self._check_vec(u)
-        quad = np.einsum("...i,ij,...j->...", u, self._inv, u)
-        return u @ self.center + np.sqrt(np.maximum(quad, 0.0))
 
     def support_and_point(self, u):
         # one product u M^-1 serves both
@@ -225,9 +224,12 @@ class Ellipsoid(ConvexBody):
 
     def _build_polar(self) -> "Ellipsoid":
         # The polar's inverse matrix is known in closed form and handed on:
-        # inverting the polar's matrix again would cost cond(M) in accuracy.
+        # inverting the polar's matrix again would cost cond(M) in accuracy,
+        # and so would its products c^T M c = e and M c = -(1 - e) c.  Its
+        # matrix, from M^-1, is symmetric only to about cond(M) eps, so it is
+        # symmetrized here, to the bits the constructor would give it.
         if self._e == 0.0:
-            polar = Ellipsoid(self._inv)
+            polar = Ellipsoid(0.5 * (self._inv + self._inv.T))
             polar._inv = self.matrix
             return polar
         # The polar of a shifted ellipsoid is again a shifted ellipsoid:
@@ -236,11 +238,11 @@ class Ellipsoid(ConvexBody):
         # M + Mc (Mc)^T / (1 - c^T M c) by Sherman-Morrison.
         c = self.center
         one_e = 1.0 - self._e
-        q = self._inv - np.outer(c, c)
-        mc = self.matrix @ c
-        k = 1.0 / one_e
-        polar = Ellipsoid(q / k, center=-mc / one_e)
+        mc = self._mc
+        q = (self._inv - np.outer(c, c)) / (1.0 / one_e)
+        polar = Ellipsoid(0.5 * (q + q.T), center=-mc / one_e)
         polar._inv = (self.matrix + np.outer(mc, mc) / one_e) / one_e
+        polar._e, polar._mc = self._e, -one_e * c
         return polar
 
     def _maps_onto_itself(self, m, w) -> bool:
@@ -298,23 +300,21 @@ class LpBall(ConvexBody):
         x = self._check_vec(x)
         return self._scaled_norm(np.abs(x) / self.weights, self.p)
 
-    def support(self, u):
-        u = self._check_vec(u)
-        return self._scaled_norm(np.abs(u) * self.weights, self.q)
-
     def support_and_point(self, u):
-        # z = |u| w, its row maximum and power sum serve both, bit for bit
+        # the polar's gauge argument z = |u| / w° and exponent p°: its row
+        # maximum and power sum serve both, and h is ``support`` bit for bit
         u = self._check_vec(u)
-        z = np.abs(u) * self.weights
+        polar = self.polar()
+        q, z = polar.p, np.abs(u) / polar.weights
         m = np.maximum.reduce(z, axis=-1)
         if _has_zero(m):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
         zn = z / m[..., None]
-        s = np.add.reduce(zn**self.q, axis=-1)
-        point = self.weights * np.sign(u) * zn ** (self.q - 1.0) / s[..., None] ** (
-            (self.q - 1.0) / self.q
+        s = np.add.reduce(zn**q, axis=-1)
+        point = self.weights * np.sign(u) * zn ** (q - 1.0) / s[..., None] ** (
+            (q - 1.0) / q
         )
-        return m * s ** (1.0 / self.q), point
+        return m * s ** (1.0 / q), point
 
     def _build_polar(self) -> "LpBall":
         return LpBall(self.q, 1.0 / self.weights)
@@ -423,10 +423,6 @@ class Polytope(ConvexBody):
     def gauge(self, x):
         x = self._check_vec(x)
         return np.maximum.reduce(x @ self._facet_grads.T, axis=-1)
-
-    def support(self, u):
-        u = self._check_vec(u)
-        return np.maximum.reduce(u @ self.vertices.T, axis=-1)
 
     def support_and_point(self, u):
         # the top vertex score; its vertex is the first in rank among near ties

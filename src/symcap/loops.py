@@ -46,6 +46,11 @@ class DiscreteLoop:
             raise TooFewVertices(f"a loop needs at least 3 vertices, got {v.shape[0]}")
         if not np.isfinite(v).all():
             raise InvalidParameter("loop vertices must be finite")
+        # finite vertices near the float limit can still overflow the action
+        with np.errstate(over="ignore", invalid="ignore"):
+            action = self.frame.polygon_action(v)
+        if not np.isfinite(action):
+            raise InvalidParameter("loop action must be finite")
         self.vertices = v
 
     def __len__(self):
@@ -169,6 +174,10 @@ def split_closed_at_fractions(vertices, norm_fn, pieces):
 # Containment score
 # ---------------------------------------------------------------------------
 
+# the certified gap containment_score accepts, relative to max(1, sigma)
+_GAP_TOL = 1e-7
+
+
 @dataclass
 class ContainmentDetails:
     """``gap`` bounds sigma minus the true minimum (nominal for the LP);
@@ -180,13 +189,7 @@ class ContainmentDetails:
     method: str = "slsqp"
 
 
-def containment_score(
-    loop,
-    body: ConvexBody,
-    gap_tol: float = 1e-7,
-    rng=None,
-    return_details: bool = False,
-):
+def containment_score(loop, body: ConvexBody, rng=None, return_details: bool = False):
     """sigma = min over translations t of max_i g_K(x_i - t).
 
     The objective is convex in t.  Polytope bodies are solved exactly as a
@@ -194,7 +197,7 @@ def containment_score(
     (min s s.t. s >= g_K(x_i - t)) by SLSQP from the centroid, polish the
     tie point with a root solve of its stationarity and equal-value
     equations, and bound the remaining gap by a simplex certificate.  Raises
-    OptimizerDidNotConverge when the certified gap exceeds ``gap_tol`` times
+    OptimizerDidNotConverge when the certified gap exceeds ``_GAP_TOL`` times
     max(1, sigma).  Both paths are deterministic: ``rng`` has no effect and
     is accepted for compatibility.
 
@@ -208,7 +211,7 @@ def containment_score(
         details = _containment_lp(pts, body)
     else:
         details = _containment_slsqp(pts, body)
-    if details.gap > gap_tol * max(1.0, details.sigma):
+    if details.gap > _GAP_TOL * max(1.0, details.sigma):
         raise OptimizerDidNotConverge(
             f"containment score gap {details.gap:.3e} above tolerance",
             best=details.sigma,

@@ -412,15 +412,20 @@ def reference_gauge(body, x):
     x = np.asarray(x, dtype=float)
     if isinstance(body, Ellipsoid):
         mat, c = body.matrix, body.center
-        a = np.einsum("...i,ij,...j->...", x, mat, x)
-        e = float(c @ mat @ c)
-        if e == 0.0:
-            return np.sqrt(np.maximum(a, 0.0))
-        b = x @ (mat @ c)
-        return (np.sqrt(np.maximum(b * b + (1.0 - e) * a, 0.0)) - b) / (1.0 - e)
+        return _reference_ellipsoid_gauge(mat, float(c @ mat @ c), mat @ c, x)
     if isinstance(body, LpBall):
         return _reference_scaled_norm(np.abs(x) / body.weights, body.p)
     return np.max(x @ (body.normals / body.offsets[:, None]).T, axis=-1)
+
+
+def _reference_ellipsoid_gauge(mat, e, mc, x):
+    """Gauge of the ellipsoid with matrix mat and center c, given the
+    products e = c^T mat c and mc = mat c."""
+    a = np.einsum("...i,ij,...j->...", x, mat, x)
+    if e == 0.0:
+        return np.sqrt(np.maximum(a, 0.0))
+    b = x @ mc
+    return (np.sqrt(np.maximum(b * b + (1.0 - e) * a, 0.0)) - b) / (1.0 - e)
 
 
 def reference_gauge_gradient(body, x):
@@ -428,8 +433,8 @@ def reference_gauge_gradient(body, x):
     written out from the body's public attributes.  An ellipsoid's polar has
     the inverse matrix M when c = 0, else (M + Mc (Mc)^T / (1 - e)) / (1 - e)
     with e = c^T M c (Sherman-Morrison), and the center -Mc / (1 - e); an
-    l^p ball's polar has the weights 1 / w, the exponent q and its conjugate
-    q / (q - 1)."""
+    l^p ball's polar has the weights 1 / w, and its support kernel reads the
+    body's own gauge argument |x| / w and exponent p."""
     x = np.asarray(x, dtype=float)
     if np.any(~np.any(x, axis=-1)):
         raise GradientUndefinedAtZero("support point undefined for direction 0")
@@ -443,15 +448,31 @@ def reference_gauge_gradient(body, x):
             inv = (mat + np.outer(mc, mc) / (1.0 - e)) / (1.0 - e)
             center = -mc / (1.0 - e)
         return _reference_ellipsoid_support_and_point(inv, center, x)[1]
-    q = body.q / (body.q - 1.0)
-    return _reference_lp_support_and_point(1.0 / body.weights, q, x)[1]
+    return _reference_lp_support_and_point(
+        1.0 / body.weights, body.weights, body.p, x
+    )[1]
 
 
 def reference_support(body, u):
+    """h_K = g_{K polar}: the polar's gauge, the polar written out from the
+    body's public attributes.  An ellipsoid's polar has the matrix M^-1 when
+    c = 0, else (M^-1 - c c^T)(1 - e), symmetrized as the constructor does,
+    with the products c^T M c = e and M c = -(1 - e) c of its own matrix and
+    center taken in closed form; an l^p ball's polar has the weights 1 / w
+    and the exponent q.  A polytope's polar comes from Qhull, so ``polar()``
+    supplies it."""
     u = np.asarray(u, dtype=float)
+    if isinstance(body, Ellipsoid):
+        mat, c = body.matrix, body.center
+        e = float(c @ mat @ c)
+        polar_mat = np.linalg.inv(mat)
+        if e != 0.0:
+            polar_mat = (polar_mat - np.outer(c, c)) / (1.0 / (1.0 - e))
+        polar_mat = 0.5 * (polar_mat + polar_mat.T)
+        return _reference_ellipsoid_gauge(polar_mat, e, -(1.0 - e) * c, u)
     if isinstance(body, LpBall):
-        return _reference_scaled_norm(np.abs(u) * body.weights, body.q)
-    return np.max(u @ body.vertices.T, axis=-1)
+        return _reference_scaled_norm(np.abs(u) / (1.0 / body.weights), body.q)
+    return reference_gauge(body.polar(), u)
 
 
 def reference_support_point(body, u):
@@ -474,7 +495,7 @@ def reference_support_and_point(body, u):
         order = np.lexsort(body.vertices.T[::-1])
         tied = scores[..., order] >= (h - 1e-12 * np.abs(h))[..., None]
         return h, body.vertices[order][np.argmax(tied, axis=-1)]
-    return _reference_lp_support_and_point(body.weights, body.q, u)
+    return _reference_lp_support_and_point(body.weights, 1.0 / body.weights, body.q, u)
 
 
 def _reference_ellipsoid_support_and_point(inv, center, u):
@@ -484,9 +505,10 @@ def _reference_ellipsoid_support_and_point(inv, center, u):
     return u @ center + root, center + mu / root[..., None]
 
 
-def _reference_lp_support_and_point(weights, q, u):
-    """Support and point of the l^p ball with these weights and conjugate q."""
-    z = np.abs(u) * weights
+def _reference_lp_support_and_point(weights, polar_weights, q, u):
+    """Support and point of the l^p ball with these weights, in the form of
+    its polar's gauge: the polar's weights and its exponent q."""
+    z = np.abs(u) / polar_weights
     m = np.max(z, axis=-1)
     zn = z / m[..., None]
     s = np.sum(zn**q, axis=-1)

@@ -397,7 +397,7 @@ def test_clarke_witness_reaches_boundary(clarke_ball4, clarke_e12):
     body12, res12 = clarke_e12
     for body, res in [(body4, res4), (body12, res12)]:
         scaled = res.witness.scaled(math.sqrt(res.value))
-        details = containment_score(scaled, body, gap_tol=1e-4, return_details=True)
+        details = containment_score(scaled, body, return_details=True)
         assert details.sigma - details.gap >= 1.0 - 1e-3
         assert details.sigma <= 1.0 + 1e-2
 

@@ -154,9 +154,7 @@ def test_closed_orbit_is_certifiably_on_boundary(ball4_orbit, e12_orbit):
     for traj, stride in ((ball4_orbit, 10), (e12_orbit, 20)):
         k = int(traj.period / traj.step)
         pts = traj.states[:k:stride]
-        details = containment_score(
-            pts, traj.body, gap_tol=1e-4, rng=0, return_details=True
-        )
+        details = containment_score(pts, traj.body, rng=0, return_details=True)
         assert details.sigma <= 1.0 + 1e-6
         assert details.sigma - details.gap >= 1.0 - 1e-3
 

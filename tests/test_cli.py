@@ -666,6 +666,8 @@ def test_symmetrize_non_finite_vertex_exits_2(tmp_path, capsys, bad):
         # numbers that overflow on conversion
         '{"dim": 1e400, "vertices": [[1, 0], [0, 1], [-1, 0]]}',
         '{"dim": 2, "vertices": [[1' + "0" * 400 + ', 0], [0, 1], [-1, 0]]}',
+        # finite vertices whose action overflows
+        '{"dim": 2, "vertices": [[1e160, 0], [0, 1e160], [-1e160, 0]]}',
     ],
     ids=[
         "dim-zero",
@@ -675,6 +677,7 @@ def test_symmetrize_non_finite_vertex_exits_2(tmp_path, capsys, bad):
         "flat-vertex-list",
         "dim-overflows",
         "vertex-overflows",
+        "action-overflows",
     ],
 )
 def test_malformed_loop_file_exits_2(tmp_path, capsys, text):

@@ -126,14 +126,21 @@ def test_support_and_point_matches_parts(name, body):
         assert np.all(smoothed <= h * len(body.vertices) ** (1.0 / 40.0) + 1e-12)
 
 
-@pytest.mark.parametrize(
-    "name,body",
-    [(n, b) for n, b in BODIES if isinstance(b, LpBall)],
-    ids=[n for n, b in BODIES if isinstance(b, LpBall)],
-)
+# weights that are not powers of two, so |u| w and |u| / (1 / w) differ in
+# the last bit, and p = 4, whose polar's conjugate q / (q - 1) is not 4
+ODD_LP = LpBall(4.0, np.array([1.0, 3.0, 1.0, 0.7]))
+LP_BODIES = [(n, b) for n, b in BODIES if isinstance(b, LpBall)] + [
+    ("l4-polar", lp_ball(4.0, np.ones(4)).polar()),
+    ("lp4-odd-weights", ODD_LP),
+    ("lp4-odd-weights-polar", ODD_LP.polar()),
+]
+
+
+@pytest.mark.parametrize("name,body", LP_BODIES, ids=[n for n, _ in LP_BODIES])
 def test_lp_support_and_point_is_exactly_the_parts(name, body):
-    # the fused form shares |u| w, its maximum and the power sum; it must not
-    # move a single bit, and a zero direction still has no support point
+    # the fused form shares the polar's gauge argument, its maximum and the
+    # power sum; its value is ``support``, the polar's gauge, to the last
+    # bit, and a zero direction still has no support point
     rng = np.random.default_rng(47)
     u = rng.normal(size=(200, body.dim))
     u[0, 1] = 0.0
@@ -217,6 +224,18 @@ def test_gauge_gradient_is_accurate_at_cond_1e10(shift):
     assert err <= 1e-12
 
 
+def test_polar_of_an_ill_conditioned_ellipsoid_builds():
+    # at cond(M) = 1e14 the computed M^-1 can miss symmetry by more than the
+    # constructor allows (2.6e-8 here); the polar's matrix is symmetrized
+    rng = np.random.default_rng(117)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    body = Ellipsoid((q * np.logspace(0, 14, 4)) @ q.T)
+    u = rng.normal(size=(16, 4))
+    h, point = body.support_and_point(u)
+    assert np.allclose(body.support(u), h, rtol=1e-9, atol=0.0)
+    assert np.array_equal(body.polar().gauge_gradient(u), point)
+
+
 def test_polytope_subgradient_facet_normal():
     c = cube(4)
     x = np.array([1.0, 0.2, -0.3, 0.1])  # interior point of the facet x0 = 1
@@ -290,6 +309,7 @@ def _kernels(body):
     if isinstance(body, Ellipsoid):
         return [
             ("gauge", body.gauge, reference_gauge),
+            ("support", body.support, reference_support),
             ("gauge_gradient", body.gauge_gradient, reference_gauge_gradient),
             ("support_point", body.support_point, reference_support_point),
             ("support_and_point", body.support_and_point, reference_support_and_point),

@@ -287,10 +287,11 @@ def test_containment_keeps_slsqp_point_when_more_than_d_plus_1_tie(monkeypatch):
     assert details.gap <= 1e-7
 
 
-def test_containment_unreachable_gap_raises():
+def test_containment_unreachable_gap_raises(monkeypatch):
     loop = circle_loop(32)
+    monkeypatch.setattr(loops, "_GAP_TOL", 1e-18)
     with pytest.raises(OptimizerDidNotConverge) as info:
-        containment_score(loop, ball(2), gap_tol=1e-18)
+        containment_score(loop, ball(2))
     assert info.value.best == pytest.approx(1.0, abs=1e-6)
     assert info.value.gap > 1e-18
 
