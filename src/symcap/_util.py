@@ -22,15 +22,6 @@ def spawn_rngs(seed, count):
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
-def random_unit_vector(rng, dim):
-    v = rng.normal(size=dim)
-    n = np.linalg.norm(v)
-    while n < 1e-12:  # pragma: no cover - essentially impossible
-        v = rng.normal(size=dim)
-        n = np.linalg.norm(v)
-    return v / n
-
-
 def fmt(x):
     """Deterministic short decimal rendering used in reports."""
     if x is None:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from ._util import as_rng, random_unit_vector, spawn_rngs
+from ._util import as_rng, spawn_rngs
 from .errors import (
     CalibrationError,
     DimensionMismatch,
@@ -311,10 +311,13 @@ def calibration_self_test():
 def _planar_ellipse_init(frame, rng, n_pts, scale):
     """Random planar ellipse in a complex line plus mild low-order ripples.
 
-    Complex-line planes guarantee a solidly nonzero starting action.
+    The ellipse in the plane of u and J u has action (N/2) sin(2 pi / N) r2
+    scale^2 >= 0.78 scale^2, and with the ripples 32,400 draws (n = 1-3,
+    N = 3-256) gave at least 0.71 scale^2, so each start is drawn once.
     """
     d = frame.dim
-    u = random_unit_vector(rng, d)
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
     v = frame.apply_j(u)
     r2 = rng.uniform(0.6, 1.6)
     phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -397,14 +400,15 @@ def clarke_minimize(
     ``levels_run``), and the others are carried to N points by
     ``_refine``, which keeps their value.  On the suite's symmetric smooth
     bodies at 128 and 256 points the restarts share one basin, though not
-    at every point count: on the l4 ball at 32 points a rounding-level
-    change to the solver made the race keep a restart that ended 2.5e-5
-    above one it pruned.  On the suite's cube and cross-polytope, ranking after p = 40 gives the same value as ranking
-    after p = 2560, bit for bit, at ``verify`` seeds 0-7 of both profiles.
-    (A polytope's smoothed value ranks worse: at p = 2560 the
-    cross-polytope's restarts agree in it to 4e-8 and differ in the exact
-    value by up to 1.3e-4.)  A translated ellipsoid is solved on its
-    centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u) +
+    at every point count: on the l4 ball at 32 points the restarts mostly
+    end the 16-point level within 1e-7 of each other, so rounding picks the
+    leader, whose 32-point level ends in one of two minima 2.5e-5 apart.
+    On the suite's cube and cross-polytope, ranking after p = 40 gives the
+    same value as ranking after p = 2560, bit for bit, at ``verify`` seeds
+    0-7 of both profiles.  (A polytope's smoothed value ranks worse: at
+    p = 2560 the cross-polytope's restarts agree in it to 4e-8 and differ
+    in the exact value by up to 1.3e-4.)  A translated ellipsoid is solved
+    on its centered copy, whose symmetry may be larger: h_{K+c}(u) = h_K(u) +
     <u, c> and the edges u_k sum to zero, so the functional is the same.
     Every restart's full loop is evaluated on the body itself with the
     exact support function, oriented and at unit action
@@ -435,14 +439,9 @@ def clarke_minimize(
 
     ys = []
     for rng in spawn_rngs(config.seed, config.restarts):
-        for _ in range(10):
-            x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
-            if abs(frame.polygon_action(x0)) > 1e-10 * scale**2:
-                break
-        else:
-            raise ZeroActionStart("could not draw a start with nonzero action")
-        if frame.polygon_action(x0) < 0:
-            x0 = x0[::-1].copy()
+        x0 = _planar_ellipse_init(frame, rng, levels[0][0], scale)
+        if not frame.polygon_action(x0) > 0:
+            raise ZeroActionStart("a Clarke start has no positive action")
         # the W-invariant part of the start: sum_j W^-j x0_j / m over blocks
         y = np.mean(
             [frame.root_multiply(m, -j, b) for j, b in enumerate(np.split(x0, m))],

@@ -38,8 +38,9 @@ class ZeroAction(SymcapError, ValueError):
 
 
 class ZeroActionStart(ZeroAction):
-    """An optimizer start had (numerically) zero action; restart with a new
-    seed."""
+    """A loop given to the Clarke functional has zero symplectic action, or a
+    Clarke start has no positive action, which its construction rules out
+    (see ``capacity._planar_ellipse_init``): a fault, not a bad seed."""
 
 
 class BodyNotSymmetric(SymcapError, ValueError):

@@ -159,9 +159,11 @@ class ConvexBody:
 class Ellipsoid(ConvexBody):
     """Solid ellipsoid {x : (x - c)^T M (x - c) <= 1} with M positive definite.
 
-    The center c defaults to the origin; a nonzero center gives the standard
-    example of a non-symmetric smooth body.  The origin must stay strictly
-    inside, which for a shifted ellipsoid means c^T M c < 1.
+    M must be finite and symmetric, with a positive least ``eigh``
+    eigenvalue, and must invert.  The center c defaults to the origin; a
+    nonzero center gives the standard example of a non-symmetric smooth
+    body.  The origin must stay strictly inside, which for a shifted
+    ellipsoid means c^T M c < 1.
     """
 
     kind = "ellipsoid"
@@ -174,9 +176,9 @@ class Ellipsoid(ConvexBody):
         if not np.allclose(matrix, matrix.T, atol=1e-10 * (1 + np.abs(matrix).max())):
             raise NonConvexParameters("ellipsoid matrix must be symmetric")
         self.matrix = 0.5 * (matrix + matrix.T)
-        try:
-            np.linalg.cholesky(self.matrix)
-        except np.linalg.LinAlgError:
+        # the spectrum that M^{1/2} and the outer radius read is the test
+        w, u = np.linalg.eigh(self.matrix)
+        if not w[0] > 0:
             raise NonConvexParameters("ellipsoid matrix must be positive definite")
         center = np.zeros(self.dim) if center is None else self._check_vec(center)
         self.center = _finite("ellipsoid center", center).copy()
@@ -186,8 +188,10 @@ class Ellipsoid(ConvexBody):
             raise OriginNotInterior(
                 "origin lies outside the shifted ellipsoid (c^T M c >= 1)"
             )
-        self._inv = np.linalg.inv(self.matrix)
-        w, u = np.linalg.eigh(self.matrix)
+        try:
+            self._inv = np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError:
+            raise NonConvexParameters("ellipsoid matrix is numerically singular")
         self._eigvals = w
         self._sqrt = (u * np.sqrt(w)) @ u.T
 

@@ -38,8 +38,7 @@ from .errors import (
     LoopNotSymmetric,
 )
 from .geometry import ConvexBody
-from .loops import DiscreteLoop, closed_length, resample_polyline
-from .symplectic import SymplecticFrame
+from .loops import closed_length, resample_polyline
 
 
 # vertices of the refined half-curve, and the projected descent's step budget
@@ -265,7 +264,9 @@ def symmetric_girth(
     Finds the sample nearest its antipode in the boundary graph (doubling
     the neighbor count until every antipodal pair is connected), doubles
     that half-path into an exactly symmetric closed loop, and tightens it by
-    projected descent.  Returns ``(length, loop)``.
+    projected descent.  Returns ``(length, vertices)``, the half-curve and
+    its negation as one (N, d) array in every dimension: a curve measured
+    in the gauge, with no symplectic action to carry.
     """
     bound = schaffer_bound(body.dim)
     bgraph = build_boundary_graph(
@@ -304,26 +305,18 @@ def symmetric_girth(
             f"computed symmetric curve length {length!r} undercuts the "
             f"guaranteed bound {bound!r}; the search must be buggy"
         )
-    loop_vertices = np.vstack([half, -half])
-    if body.dim % 2 == 0:
-        frame = SymplecticFrame(body.dim // 2)
-        loop = DiscreteLoop(frame, loop_vertices)
-    else:
-        loop = loop_vertices  # odd-dimensional bodies have no symplectic frame
-    return length, loop
+    return length, np.vstack([half, -half])
 
 
 def check_schaffer_bound(body: ConvexBody, loop) -> dict:
     """Margin of a symmetric boundary loop against the guaranteed bound.
 
-    The loop must pair vertex i with vertex i + N/2 under negation and sit
-    on the boundary.  A margin below -1e-2 raises the violation flag; the
-    bound holds for every genuine symmetric boundary curve, so a violation
-    means an implementation error somewhere.
+    The (N, d) vertex array ``loop`` must pair vertex i with vertex i + N/2
+    under negation and sit on the boundary.  A margin below -1e-2 raises
+    the violation flag; the bound holds for every genuine symmetric boundary
+    curve, so a violation means an implementation error somewhere.
     """
-    vertices = np.asarray(
-        loop.vertices if isinstance(loop, DiscreteLoop) else loop, dtype=float
-    )
+    vertices = np.asarray(loop, dtype=float)
     n = len(vertices)
     diameter = 2.0 * body.outer_radius()
     if n % 2 != 0:

@@ -124,6 +124,19 @@ def test_zero_action_raises():
         clarke_functional(ball(4), forth_back)
 
 
+def test_a_start_without_positive_action_raises(monkeypatch):
+    # every start is drawn once with positive action; one that is not is a
+    # fault in the start, not something to redraw or flip
+    init = capacity._planar_ellipse_init
+
+    def reversed_init(*args):
+        return init(*args)[::-1]
+
+    monkeypatch.setattr(capacity, "_planar_ellipse_init", reversed_init)
+    with pytest.raises(ZeroActionStart):
+        clarke_minimize(ball(4), OptimizerConfig(points=16, restarts=1))
+
+
 def test_edge_norm_is_support_of_rotated_edge():
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
     frame = frame_for(body)

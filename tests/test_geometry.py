@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from symcap.errors import (
     NonConvexParameters,
     OriginNotInterior,
     SpecParseError,
+    SymcapError,
 )
 from symcap.geometry import (
     Ellipsoid,
@@ -234,6 +236,40 @@ def test_polar_of_an_ill_conditioned_ellipsoid_builds():
     h, point = body.support_and_point(u)
     assert np.allclose(body.support(u), h, rtol=1e-9, atol=0.0)
     assert np.array_equal(body.polar().gauge_gradient(u), point)
+
+
+def _rotated_matrix(k, seed):
+    # a rotated 4-d matrix with eigenvalues logspace(0, k, 4), cond(M) = 10^k
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    return (q * np.logspace(0, k, 4)) @ q.T
+
+
+def test_a_matrix_eigh_finds_indefinite_is_rejected():
+    # Cholesky accepts this matrix, but eigh, whose spectrum gives M^{1/2}
+    # and the outer radius, finds a negative least eigenvalue
+    matrix = _rotated_matrix(16, 8)
+    matrix = 0.5 * (matrix + matrix.T)
+    np.linalg.cholesky(matrix)
+    assert np.linalg.eigvalsh(matrix)[0] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvexParameters):
+            Ellipsoid(matrix)
+
+
+@pytest.mark.parametrize("k", [10, 14, 15, 16, 17])
+def test_ill_conditioned_ellipsoids_raise_only_symcap_errors(k):
+    accepted = 0
+    for seed in range(200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                Ellipsoid(_rotated_matrix(k, seed)).support(np.ones(4))
+            except SymcapError:
+                continue
+        accepted += 1
+    if k <= 15:
+        assert accepted == 200
 
 
 def test_polytope_subgradient_facet_normal():

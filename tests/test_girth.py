@@ -24,7 +24,6 @@ from symcap.girth import (
     shortest_antipodal_path,
     symmetric_girth,
 )
-from symcap.loops import DiscreteLoop
 from symcap.symplectic import SymplecticFrame
 from symcap.verify import _derived_seed
 
@@ -134,7 +133,8 @@ def test_girth_ball_four_dimensional():
     report = check_schaffer_bound(ball(4), loop)
     assert report["bound"] == pytest.approx(5.0)
     assert report["margin"] > 0
-    assert isinstance(loop, DiscreteLoop)
+    assert isinstance(loop, np.ndarray)
+    assert loop.shape == (2 * girth.REFINE_POINTS, 4)
 
 
 @pytest.mark.parametrize("n_samples", [4, 8])
@@ -228,8 +228,7 @@ def test_girth_source_is_the_full_sweep_argmin(
     assert k == ref_k
     assert dists[source] == pytest.approx(dists.min(), rel=1e-12, abs=0)
     assert length.hex() == ref_length.hex()
-    vertices = loop.vertices if isinstance(loop, DiscreteLoop) else loop
-    assert np.array_equal(vertices, ref_vertices)
+    assert np.array_equal(loop, ref_vertices)
     if k_neighbors < 3:
         assert ref_k > k_neighbors
 
