@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from symcap import capacity
 from symcap.capacity import (
@@ -34,6 +36,8 @@ from symcap.geometry import (
 )
 from symcap.girth import (
     REFINE_POINTS,
+    SEARCH_CHUNK,
+    _band_sources,
     _neighbor_graph,
     build_boundary_graph,
     refine_symmetric_half,
@@ -360,6 +364,48 @@ def reference_antipodal_distances(bgraph):
             np.arange(len(batch)), bgraph.antipode[batch]
         ]
     return out
+
+
+def reference_neighbor_graph(body, samples, k_neighbors):
+    """``girth._neighbor_graph`` with every edge weight from one gauge call:
+    the graph its gauge slices must reproduce bit for bit."""
+    p = len(samples)
+    _, idx = cKDTree(samples).query(samples, k=min(k_neighbors + 1, p))
+    rows = np.repeat(np.arange(p), idx.shape[1] - 1)
+    cols = idx[:, 1:].ravel()
+    keep = cols != (rows + p // 2) % p
+    rows, cols = rows[keep], cols[keep]
+    weights = body.gauge(samples[cols] - samples[rows])
+    graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
+    rows, cols = (rows + p // 2) % p, (cols + p // 2) % p
+    graph = graph.maximum(csr_matrix((weights, (rows, cols)), shape=(p, p)))
+    return graph.maximum(graph.T)
+
+
+def reference_meet_values(graph, antipode, sources, best):
+    """``girth._meet_values`` with one Dijkstra call per SEARCH_CHUNK
+    sources: the values its calls of at most BLOCK_FLOATS distances must
+    reproduce bit for bit."""
+    w_max = float(graph.data.max())
+    meet = np.empty(len(sources))
+    for start in range(0, len(sources), SEARCH_CHUNK):
+        rows = slice(start, start + SEARCH_CHUNK)
+        radius = 0.5 * (best + w_max) * (1 + 1e-9)
+        dist = dijkstra(graph, indices=sources[rows], limit=radius)
+        pair = dist[:, antipode]
+        pair += dist
+        meet[rows] = pair.min(axis=1)
+        best = min(best, float(meet[rows].min()))
+    return meet
+
+
+def reference_antipodal_source(bgraph):
+    """``girth._shortest_antipodal_source`` over ``reference_meet_values``."""
+    graph, antipode = bgraph.graph, bgraph.antipode
+    sources = _band_sources(bgraph)
+    best = float(dijkstra(graph, indices=sources[0])[antipode[sources[0]]])
+    meet = reference_meet_values(graph, antipode, sources, best)
+    return int(sources[np.argmin(meet)])
 
 
 def reference_symmetric_girth(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -32,6 +33,9 @@ from helpers import (
     random_symmetric_ellipsoid,
     random_symmetric_polytope,
     reference_antipodal_distances,
+    reference_antipodal_source,
+    reference_meet_values,
+    reference_neighbor_graph,
     reference_symmetric_girth,
     regular_polygon,
 )
@@ -287,6 +291,87 @@ def test_girth_sources_are_fewer_than_the_band():
     _, band = cut_edges_and_band(bg)
     assert np.all(np.isin(sources, band))
     assert len(sources) < len(band)
+
+
+@pytest.mark.parametrize(
+    "body, n_samples, k_neighbors",
+    [
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4096, 12),
+        (lp_ball(4.0, np.ones(4)), 4096, 12),
+        (lp_ball(1, np.ones(4)), 4096, 12),
+        (ball(2), 256, 1),  # k = 1 leaves gaps: every doubled graph is checked
+    ],
+    ids=["e12", "l4", "cross4", "ball2-k1"],
+)
+def test_blocked_graph_and_search_match_the_one_batch_references(
+    monkeypatch, body, n_samples, k_neighbors
+):
+    # gauge slices of 7 differences, and Dijkstra calls of 48 sources, so
+    # that each 128-source radius block runs as 48 + 48 + 32: weights, graph
+    # and meet values must come out bit for bit as from one gauge call and
+    # one Dijkstra call per radius block
+    graph_calls, searched = [], []
+    build, meet_values = girth._neighbor_graph, girth._meet_values
+
+    def blocked_build(body, samples, k):
+        monkeypatch.setattr(girth, "BLOCK_FLOATS", 7 * samples.shape[1])
+        graph = build(body, samples, k)
+        ref = reference_neighbor_graph(body, samples, k)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(graph, part).tobytes() == getattr(ref, part).tobytes()
+        graph_calls.append(k)
+        return graph
+
+    def blocked_meet_values(graph, antipode, sources, best):
+        monkeypatch.setattr(girth, "BLOCK_FLOATS", 48 * graph.shape[0])
+        meet = meet_values(graph, antipode, sources, best)
+        ref = reference_meet_values(graph, antipode, sources, best)
+        assert meet.tobytes() == ref.tobytes()
+        searched.append(len(sources))
+        return meet
+
+    monkeypatch.setattr(girth, "_neighbor_graph", blocked_build)
+    monkeypatch.setattr(girth, "_meet_values", blocked_meet_values)
+    symmetric_girth(body, n_samples, k_neighbors, rng=0)
+    assert len(searched) == 1
+    if body.dim == 2:
+        assert len(graph_calls) > 1
+    else:
+        assert searched[0] > girth.SEARCH_CHUNK  # several radius blocks
+
+
+def test_girth_source_keeps_the_radius_cadence():
+    # two samples of the l4 ball graph of verify seed 7 (fast profile) are
+    # minimizers up to rounding; which one wins depends on how often best
+    # and the search radius are lowered, so the cadence stays at 128
+    # sources whatever the size of a Dijkstra call
+    bg = build_boundary_graph(
+        lp_ball(4.0, np.ones(4)), 2048, rng=_derived_seed(7, 7, 2)
+    )
+    source = girth._shortest_antipodal_source(bg)
+    assert source == reference_antipodal_source(bg) == 247
+
+
+@pytest.mark.parametrize(
+    "body", [lp_ball(1, np.ones(4)), lp_ball(4.0, np.ones(4))],
+    ids=["cross4", "l4"],
+)
+def test_girth_graph_and_search_memory_is_bounded(body):
+    # traced peaks at 4096 samples: the build 6.9 MiB on the cross-polytope
+    # and 6.1 MiB on the l4 ball, the search 2.1 MiB; one gauge call for all
+    # weights took 9.5 and 8.4 MiB, one Dijkstra call per 128 sources 11 MiB
+    bg = build_boundary_graph(body, 4096, rng=0)
+    tracemalloc.start()
+    try:
+        girth._neighbor_graph(body, bg.samples, bg.k_neighbors)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        girth._shortest_antipodal_source(bg)
+        search = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build < 8 * 2**20, build
+    assert search < 4 * 2**20, search
 
 
 # FOUND in CHANGES.md: `refine_symmetric_half` can push a 2-d girth below
