@@ -1,14 +1,15 @@
 """Characteristic flow on smooth convex boundaries.
 
-The boundary flow solves dx/dt = J grad g(x).  The gauge is a first
-integral of that field, so trajectories stay on the boundary analytically;
-each accepted step is nevertheless re-projected radially to squash the
-slow numerical drift.  The field is built once per call, with J as a signed
-permutation, so a step costs four gradient calls and one gauge call.
-Closure is detected by upward crossings of the hyperplane through the
-start point normal to the initial velocity; on a closed orbit the enclosed
-symplectic action equals half the period, which ``closed_orbit_action``
-verifies and returns.
+The boundary flow solves dx/dt = J grad g(x), with J as a signed
+permutation built once per call.  One adaptive Dormand-Prince 8(5,3) solve
+(DOP853) at fixed tight tolerances integrates it, and its dense output
+samples the orbit on the fixed grid of the requested spacing.  The gauge is
+a first integral of the field, so orbits stay on the boundary analytically;
+the samples are nevertheless re-projected radially to squash the slow
+numerical drift.  Closure is detected on the samples by upward crossings of
+the hyperplane through the start point normal to the initial velocity; on a
+closed orbit the enclosed symplectic action equals half the period, which
+``closed_orbit_action`` verifies and returns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .errors import (
 from .geometry import ConvexBody
 from .symplectic import SymplecticFrame
 
-MAX_STEPS = 1 << 22  # RK4 steps a caller may ask for: 200 MB of states at dim 6
+MAX_STEPS = 1 << 22  # samples a caller may ask for: 200 MB of states at dim 6
+RTOL = 3e-14  # just above solve_ivp's floor of 100 eps, below which it warns
 
 
 @dataclass
@@ -62,10 +64,13 @@ def integrate_characteristic(
 ) -> Trajectory:
     """Integrate the boundary characteristic field from a boundary point.
 
-    Classical fourth-order Runge-Kutta with radial re-projection after each
-    step.  Upward crossings of the start section are recorded with linearly
-    interpolated crossing times; the first crossing that returns to within
-    1e-4 * 2 * outer_radius() of the start fixes the period estimate.
+    One DOP853 solve with relative tolerance ``RTOL`` and absolute tolerance
+    1e-15 * outer_radius(); its dense output gives the states at the times
+    ``step * k``, so ``step`` is the sample spacing, not the integrator's
+    step.  The samples are re-projected radially onto the boundary.  Upward
+    crossings of the start section between samples are recorded with
+    linearly interpolated crossing times; the first crossing that returns to
+    within 1e-4 * 2 * outer_radius() of the start fixes the period estimate.
     """
     if not body.is_smooth:
         raise NotSmoothBody(
@@ -85,55 +90,48 @@ def integrate_characteristic(
         raise InvalidParameter(f"need finite 0 < step < t_max, got {step!r}, {t_max!r}")
     if t_max / step > MAX_STEPS:  # before the states are allocated
         raise InvalidParameter(f"t_max / step is {t_max / step!r}, above {MAX_STEPS}")
-    n_steps = math.ceil(t_max / step)
+    times = step * np.arange(math.ceil(t_max / step) + 1)
     closure_tol = 1e-4 * (2.0 * body.outer_radius())
 
     # J as a signed permutation: a product with +-1 is exact, signed zeros too
     labels = SymplecticFrame(body.dim // 2).apply_j(np.arange(1.0, body.dim + 1.0))
     perm, sign = (np.abs(labels) - 1).astype(np.intp), np.sign(labels)
-    gauge, gradient = body.gauge, body.gauge_gradient
-    half, sixth = 0.5 * step, step / 6.0
 
-    states = np.empty((n_steps + 1, body.dim))
-    states[0] = x0
-    f0 = gradient(x0)[perm] * sign
+    def field(t, x):
+        return body.gauge_gradient(x)[perm] * sign
 
-    period = None
-    closure_residual = None
-    crossings = []
-    s_prev = 0.0
-    x = x0
-    for k in range(n_steps):
-        k1 = gradient(x)[perm] * sign
-        k2 = gradient(x + half * k1)[perm] * sign
-        k3 = gradient(x + half * k2)[perm] * sign
-        k4 = gradient(x + step * k3)[perm] * sign
-        x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x_new).all():
-            raise StepUnstable(f"non-finite state at t = {(k + 1) * step!r}")
-        g = float(gauge(x_new))
-        if not 0.5 < g < 2.0:
-            raise StepUnstable(
-                f"gauge drifted to {g!r} in one step; reduce the step size"
-            )
-        x_new = x_new / g
-        states[k + 1] = x_new
-        s_new = float((x_new - x0) @ f0)
-        if k > 0 and s_prev < 0.0 <= s_new:
-            theta = -s_prev / (s_new - s_prev)
-            t_cross = (k + theta) * step
-            x_cross = states[k] + theta * (x_new - states[k])
-            residual = float(np.linalg.norm(x_cross - x0))
-            crossings.append({"time": t_cross, "residual": residual})
-            if period is None and residual <= closure_tol:
-                period = t_cross
-                closure_residual = residual
-        s_prev = s_new
-        x = x_new
+    # imported here so that verify and capacity, which never flow, skip its cost
+    from scipy.integrate import solve_ivp
 
-    if period is None and crossings:
-        closure_residual = min(c["residual"] for c in crossings)
-    times = step * np.arange(n_steps + 1)
+    sol = solve_ivp(field, (0.0, times[-1]), x0, method="DOP853", t_eval=times,
+                    rtol=RTOL, atol=1e-15 * body.outer_radius())
+    if sol.status != 0:
+        t_last = sol.t[-1] if sol.t.size else 0.0
+        raise StepUnstable(f"solver stopped after t = {t_last!r}: {sol.message}")
+    states = sol.y.T
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise StepUnstable(f"non-finite state at t = {times[np.argmin(finite)]!r}")
+    g = body.gauge(states[1:])
+    off = ~((0.5 < g) & (g < 2.0))
+    if off.any():
+        k = np.argmax(off)
+        raise StepUnstable(f"gauge drifted to {g[k]!r} at t = {times[k + 1]!r}")
+    states[1:] /= g[:, None]
+
+    s = (states - x0) @ field(0.0, x0)
+    k = np.flatnonzero((s[1:-1] < 0.0) & (s[2:] >= 0.0)) + 1
+    theta = -s[k] / (s[k + 1] - s[k])
+    x_cross = states[k] + theta[:, None] * (states[k + 1] - states[k])
+    residuals = np.linalg.norm(x_cross - x0, axis=1)
+    crossings = [
+        {"time": float(t), "residual": float(r)}
+        for t, r in zip((k + theta) * step, residuals)
+    ]
+    closing = [c for c in crossings if c["residual"] <= closure_tol]
+    period = closing[0]["time"] if closing else None
+    closure_residual = (closing[0]["residual"] if closing
+                        else min(map(float, residuals), default=None))
     return Trajectory(
         body=body,
         times=times,

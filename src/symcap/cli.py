@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("body", help="body JSON file")
     p.add_argument("--start", required=True, help="comma-separated start point")
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=1e-3, help="sample spacing")
     p.add_argument("--out", help="trajectory CSV path")
     p.set_defaults(func=_cmd_flow)
 

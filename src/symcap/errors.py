@@ -71,8 +71,8 @@ class NotSmoothBody(SymcapError, ValueError):
 
 
 class StepUnstable(SymcapError, RuntimeError):
-    """The integrator produced a non-finite state or drifted far off the
-    boundary within a single step."""
+    """The flow solver stopped short of the end time, or a sample came out
+    non-finite or with a gauge outside (0.5, 2)."""
 
 
 class OrbitNotClosed(SymcapError, ValueError):

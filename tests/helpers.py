@@ -582,10 +582,11 @@ def _reference_field(body, x):
 
 
 def reference_integrate_characteristic(body, x0, t_max, step=1e-3):
-    """RK4 with a SymplecticFrame and an apply_j per stage, on the reference
-    kernels above: the formulation ``characteristics.integrate_characteristic``
-    must reproduce bit for bit.  Expects a smooth even-dimensional body, a
-    boundary start point and 0 < step < t_max."""
+    """Classical fixed-step RK4 with a SymplecticFrame and an apply_j per
+    stage, on the reference kernels above: the oracle that
+    ``characteristics.integrate_characteristic`` is held to where no exact
+    flow exists.  Expects a smooth even-dimensional body, a boundary start
+    point and 0 < step < t_max."""
     x0 = np.asarray(x0, dtype=float)
     closure_tol = 1e-4 * (2.0 * body.outer_radius())
 

@@ -91,7 +91,7 @@ def test_ball_orbit_period_and_crossings(ball4_orbit):
 
 def test_orbits_stay_on_boundary(ball4_orbit, e12_orbit, e12_fast_orbit):
     for traj in (ball4_orbit, e12_orbit, e12_fast_orbit):
-        assert traj.boundary_residual() <= 1e-6
+        assert traj.boundary_residual() <= 1e-12
 
 
 def test_ball_orbit_action_is_half_period(ball4_orbit):
@@ -103,7 +103,7 @@ def test_ball_orbit_action_is_half_period(ball4_orbit):
 def test_integrator_matches_linear_flow_oracle(ball4_orbit, e12_orbit, e12_fast_orbit):
     for traj in (ball4_orbit, e12_orbit, e12_fast_orbit):
         exact = ellipsoid_flow_states(traj.body, traj.states[0], traj.times)
-        assert np.max(np.abs(traj.states - exact)) <= 1e-5
+        assert np.max(np.abs(traj.states - exact)) <= 1e-10
 
 
 def test_mixed_orbit_closes_at_commensurate_period(e12_orbit):
@@ -238,27 +238,48 @@ FLOW_CASES = [
 @pytest.mark.parametrize(
     "name,body,direction,t_max,step", FLOW_CASES, ids=[c[0] for c in FLOW_CASES]
 )
-def test_flow_is_bit_identical_to_the_reference(name, body, direction, t_max, step):
-    # the field built once per call, J as a signed permutation and the
-    # ufunc-reduction kernels must not move a single bit of the stage-by-stage
-    # apply_j formulation on the wrapper-based kernels
+def test_flow_matches_the_exact_flow_or_the_rk4_reference(
+    name, body, direction, t_max, step
+):
+    # the adaptive solve keeps no integrator's bits, so it is held to the
+    # exact flow where one exists and to fixed-step RK4 elsewhere
     x0 = body.boundary_point(np.array(direction))
     got = integrate_characteristic(body, x0, t_max=t_max, step=step)
     ref = reference_integrate_characteristic(body, x0, t_max=t_max, step=step)
-    assert got.states.tobytes() == ref.states.tobytes()
-    assert got.times.tobytes() == ref.times.tobytes()
-    assert repr(got.period) == repr(ref.period)
-    assert repr(got.closure_residual) == repr(ref.closure_residual)
-    assert repr(got.crossings) == repr(ref.crossings)
+    assert np.array_equal(got.times, ref.times)
+    if isinstance(body, Ellipsoid) and body.is_symmetric:
+        exact = ellipsoid_flow_states(body, x0, got.times)
+        assert np.max(np.abs(got.states - exact)) <= 1e-11
+    else:
+        assert np.max(np.abs(got.states - ref.states)) <= 1e-10
+    assert (got.period is None) == (ref.period is None)
+    assert len(got.crossings) == len(ref.crossings)
+    for a, b in zip(got.crossings, ref.crossings):
+        assert a["time"] == pytest.approx(b["time"], abs=1e-9)
     if name in ("ball2", "ellipsoid-1-2"):
         assert got.period is not None
 
 
-def test_oversized_step_is_reported_unstable():
-    # steep gauge gradient (thin ellipse) makes a long step overshoot badly
+def test_long_sample_spacing_on_a_thin_ellipse_stays_exact():
+    # the spacing only samples the orbit: a spacing of 2.0 on the steep thin
+    # ellipse, which overshot badly as a fixed step, is still the exact flow
     thin = Ellipsoid.from_radii([1.0, 0.05])
-    with pytest.raises(StepUnstable, match="gauge"):
-        integrate_characteristic(thin, [1.0, 0.0], t_max=20.0, step=2.0)
+    traj = integrate_characteristic(thin, [1.0, 0.0], t_max=20.0, step=2.0)
+    exact = ellipsoid_flow_states(thin, traj.states[0], traj.times)
+    assert np.max(np.abs(traj.states - exact)) <= 1e-8
+
+
+def test_non_finite_field_is_reported_unstable():
+    body = ball(4)
+    kernel, calls = body.gauge_gradient, [0]
+
+    def failing_gradient(x):
+        calls[0] += 1
+        return kernel(x) if calls[0] <= 50 else np.full(np.shape(x), np.nan)
+
+    body.gauge_gradient = failing_gradient
+    with pytest.raises(StepUnstable, match="step size"):
+        integrate_characteristic(body, [1.0, 0.0, 0.0, 0.0], t_max=10.0, step=1e-2)
 
 
 def test_exact_flow_requires_centered_ellipsoid():
