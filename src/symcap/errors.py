@@ -71,8 +71,8 @@ class NotSmoothBody(SymcapError, ValueError):
 
 
 class StepUnstable(SymcapError, RuntimeError):
-    """The flow solver stopped short of the end time, or a sample came out
-    non-finite or with a gauge outside (0.5, 2)."""
+    """The flow solver stopped short of the end time or ran past its budget
+    of field evaluations, or a sample's gauge came out outside (0.5, 2)."""
 
 
 class OrbitNotClosed(SymcapError, ValueError):

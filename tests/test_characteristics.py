@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symcap.capacity import c_j, ellipsoid_ehz_exact
+from symcap import characteristics
 from symcap.characteristics import (
     Trajectory,
     closed_orbit_action,
@@ -280,6 +281,26 @@ def test_non_finite_field_is_reported_unstable():
     body.gauge_gradient = failing_gradient
     with pytest.raises(StepUnstable, match="step size"):
         integrate_characteristic(body, [1.0, 0.0, 0.0, 0.0], t_max=10.0, step=1e-2)
+
+
+def test_gauge_off_the_boundary_is_reported_unstable():
+    body = ball(4)
+    kernel = body.gauge
+
+    def drifting_gauge(x):
+        # exact at the start point, three times too large on the samples
+        return kernel(x) if np.ndim(x) == 1 else 3.0 * kernel(x)
+
+    body.gauge = drifting_gauge
+    with pytest.raises(StepUnstable, match=r"gauge drifted to 3 at t = 0\.1$"):
+        integrate_characteristic(body, [1.0, 0.0, 0.0, 0.0], t_max=1.0, step=0.1)
+
+
+def test_solver_work_is_bounded_whatever_the_spacing(monkeypatch):
+    # 1e6 samples pass MAX_STEPS, but t_max = 1e12 would take the solve days
+    monkeypatch.setattr(characteristics, "MAX_EVALS", 1000)
+    with pytest.raises(StepUnstable, match="1000 field evaluations by t = "):
+        integrate_characteristic(ball(4), [1.0, 0.0, 0.0, 0.0], t_max=1e12, step=1e6)
 
 
 def test_exact_flow_requires_centered_ellipsoid():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symcap import capacity, girth, symmetry, verify
+from symcap import capacity, characteristics, girth, symmetry, verify
 from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
 from symcap.cli import main
 from symcap.errors import InvalidParameter, SpecParseError
@@ -631,6 +631,19 @@ def test_flow_on_an_odd_dimensional_body_is_a_dimension_error(tmp_path, capsys):
     assert err == (
         "error: DimensionMismatch: characteristic flow needs an even-dimensional body\n"
     )
+
+
+def test_flow_past_the_evaluation_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # 1e6 samples pass the sample cap; the solve's own budget stops the run
+    monkeypatch.setattr(characteristics, "MAX_EVALS", 1000)
+    body = write_json(tmp_path, "ball4.json", BALL4)
+    code, out, err = run_cli(
+        capsys,
+        ["flow", body, "--start", "1,0,0,0", "--tmax", "1e12", "--step", "1e6"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: StepUnstable: solver used 1000 field evaluations")
 
 
 def test_symmetrize_dimension_mismatch_exits_2(tmp_path, capsys):
