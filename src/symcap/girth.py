@@ -132,8 +132,8 @@ def _neighbor_graph(body, samples, k_neighbors) -> csr_matrix:
     # boundary ray is defined
     keep = cols != (rows + p // 2) % p
     rows, cols = rows[keep], cols[keep]
-    # the gauge in slices of at most BLOCK_FLOATS differences' coordinates:
-    # each weight is a function of its own row, so slicing moves no bit
+    # the gauge in slices of at most BLOCK_FLOATS differences' coordinates;
+    # a slice of 2+ rows moves no bit, one of 1 row can (polytope matvec)
     weights = np.empty(len(rows))
     step = max(1, BLOCK_FLOATS // samples.shape[1])
     for start in range(0, len(rows), step):

@@ -9,7 +9,8 @@ invariant under x -> W x + v, so translated to the fixed point of that map
 it is the W-orbit of its first block, and that orbit is the candidate.  Its
 action is exactly m times the piece's chord-closed action plus a regular
 m-gon term alpha_m |v|^2, and the best candidate always carries at least the
-original action.  The norm body must be one that the rotation maps onto
+original action; the best piece is chosen by that exact value, and only its
+candidate is built.  The norm body must be one that the rotation maps onto
 itself; the one exact check is ``ConvexBody.is_invariant(m)``.
 
 Central symmetrization is the case m = 2 (``symmetrize_central``): the root
@@ -41,7 +42,7 @@ from .geometry import ConvexBody
 from .loops import DiscreteLoop, closed_length, split_closed_at_fractions
 from .symplectic import alpha_m
 
-MAX_ORDER = 1 << 9  # orders a caller may ask for: the m candidates take m^2 rotations
+MAX_ORDER = 1 << 9  # orders a caller may ask for: input validation, not a cost bound
 
 
 @dataclass
@@ -96,19 +97,19 @@ def symmetrize_mfold(
     Splits the loop into m segments of equal dual length; the segments'
     chord-closed actions A_i and the polygon of the cut points add up to the
     input action, reported as ``residuals["action_additivity"]``.  Segment i
-    with endpoint gap v_i yields a candidate built once, as the W-orbit
-    [W^k f_i]_{k<m} of f_i = seg[:-1] - seg[0] - c_i, where c_i = (v_i +
-    cot(pi/m) J v_i) / 2 is the fixed point of x -> W x + v_i.  It is the
-    chain of the segment's rotated copies, each starting where the previous
-    one ends, translated by -c_i, so it has the chain's action and length.
-    The candidate action equals m * A_i + alpha_m |v_i|^2 exactly (A_i =
-    action of the segment closed by its chord), which is verified
-    numerically, and the best candidate action is never below the input
-    action — the quantitative core of the m-fold symmetrization argument.
-    The best candidate (the first on ties), rescaled to unit action, is the
-    result, so the checked action and ``residuals["symmetry"]`` are those of
-    the returned loop.  For m = 2 and 4 the rotations are exact signed
-    permutations, so the output symmetry is exact.
+    with endpoint gap v_i stands for the candidate [W^k f_i]_{k<m}, the
+    W-orbit of f_i = seg[:-1] - seg[0] - c_i, where c_i = (v_i + cot(pi/m)
+    J v_i) / 2 is the fixed point of x -> W x + v_i: the chain of the
+    segment's rotated copies, each starting where the previous one ends,
+    translated by -c_i.  Its action is exactly m * A_i + alpha_m |v_i|^2
+    (A_i = action of the segment closed by its chord), the record's
+    ``candidate_action``, and the best one is never below the input action
+    — the quantitative core of the m-fold symmetrization argument.  Only the
+    first best candidate is built (m rotations); its measured action must
+    match the prediction, else CalibrationError, and ``residuals["symmetry"]``
+    is its own.  Rescaled to unit action it is the result.  For m = 2 and 4
+    the rotations are exact signed permutations, so the output symmetry is
+    exact.
 
     The norm body must be one that W = ``root_multiply(m, 1)`` maps onto
     itself, the one exact check ``ConvexBody.is_invariant(m)``; otherwise
@@ -148,34 +149,32 @@ def symmetrize_mfold(
     # cot(pi/m) = 4 alpha_m / m, which is exactly 0 at m = 2
     half_cot = 2.0 * const / m
     decomposition = []
-    best_action, chosen_index, chosen = -math.inf, 0, None
     for i, seg in enumerate(segments):
         v_i = seg[-1] - seg[0]
         a_i = float(frame.polygon_action(seg)) if len(seg) >= 3 else 0.0
         s_i = const * float(v_i @ v_i)
-        first = seg[:-1] - seg[0] - (0.5 * v_i + half_cot * frame.apply_j(v_i))
-        candidate = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
-        # a one-point-per-block candidate is a degenerate zero-action polygon
-        cand_action = (
-            float(frame.polygon_action(candidate)) if len(candidate) >= 3 else 0.0
-        )
-        predicted = m * a_i + s_i
-        if abs(cand_action - predicted) > 1e-8 * max(1.0, scale**2):
-            raise CalibrationError(
-                f"candidate action {cand_action!r} deviates from the exact "
-                f"decomposition m*A + alpha_m |v|^2 = {predicted!r}"
-            )
         decomposition.append(
             {
                 "segment": i,
                 "closed_action": a_i,
                 "polygon_term": s_i,
                 "gap": [float(c) for c in v_i],
-                "candidate_action": cand_action,
+                "candidate_action": m * a_i + s_i,
             }
         )
-        if cand_action > best_action:  # the first maximum wins
-            best_action, chosen_index, chosen = cand_action, i, candidate
+    predicted = [d["candidate_action"] for d in decomposition]
+    chosen_index = int(np.argmax(predicted))  # the first maximum wins
+    seg = segments[chosen_index]
+    v = seg[-1] - seg[0]
+    first = seg[:-1] - seg[0] - (0.5 * v + half_cot * frame.apply_j(v))
+    chosen = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
+    # a one-point-per-block candidate is a degenerate zero-action polygon
+    best_action = float(frame.polygon_action(chosen)) if len(chosen) >= 3 else 0.0
+    if abs(best_action - predicted[chosen_index]) > 1e-8 * max(1.0, scale**2):
+        raise CalibrationError(
+            f"candidate action {best_action!r} deviates from the exact "
+            f"decomposition m*A + alpha_m |v|^2 = {predicted[chosen_index]!r}"
+        )
 
     additivity = abs(
         sum(d["closed_action"] for d in decomposition) + cut_action - pre_action
@@ -191,7 +190,7 @@ def symmetrize_mfold(
     sym_residual = float(
         np.max(np.abs(np.roll(chosen, -(len(chosen) // m), axis=0) - rotated))
     )
-    out_loop = DiscreteLoop(frame, chosen).scaled(1.0 / math.sqrt(best_action))
+    out_loop = DiscreteLoop(frame, chosen * (1.0 / math.sqrt(best_action)))
     post_action = out_loop.action()
     post_length = closed_length(out_loop.vertices, norm_fn)
 

@@ -43,7 +43,7 @@ from symcap.girth import (
     refine_symmetric_half,
 )
 from symcap.loops import DiscreteLoop, resample_polyline, split_closed_at_fractions
-from symcap.symplectic import SymplecticFrame
+from symcap.symplectic import SymplecticFrame, alpha_m
 
 
 def fourier_loop(rng, frame, n_pts=64, modes=4, amplitude=1.0):
@@ -276,6 +276,31 @@ def reference_symmetrize_central(loop, norm_body):
     arc = arcs[chosen][:-1] - mid
     out = DiscreteLoop(loop.frame, np.vstack([arc, -arc])).normalize()
     return chosen, out.scaled(1.0 / math.sqrt(out.action()))
+
+
+def reference_mfold_candidates(loop, norm_body, m):
+    """Every candidate of the m-fold symmetrization, built and measured.
+
+    The loop, oriented to positive action, is cut into m pieces of equal
+    dual length; piece i gives the W-orbit of its points minus the fixed
+    point c_i = (v_i + cot(pi/m) J v_i) / 2 of x -> W x + v_i, v_i its
+    endpoint gap.  Returns a list of (candidate vertices, measured action),
+    one per piece, in cut order.
+    """
+    frame = loop.frame
+    verts = loop.vertices if loop.action() > 0 else loop.vertices[::-1].copy()
+    pieces = split_closed_at_fractions(
+        verts, lambda e: clarke_edge_norm(norm_body, e), m
+    )
+    half_cot = 2.0 * alpha_m(m) / m
+    out = []
+    for seg in pieces:
+        v = seg[-1] - seg[0]
+        first = seg[:-1] - seg[0] - (0.5 * v + half_cot * frame.apply_j(v))
+        cand = np.vstack([frame.root_multiply(m, k, first) for k in range(m)])
+        action = float(frame.polygon_action(cand)) if len(cand) >= 3 else 0.0
+        out.append((cand, action))
+    return out
 
 
 # JSON-like values: what json.loads can return, with numbers a file can spell

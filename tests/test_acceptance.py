@@ -33,6 +33,7 @@ from helpers import (
     nonzero_action_loop,
     random_symmetric_ellipsoid,
     random_symmetric_polytope,
+    reference_mfold_candidates,
 )
 
 
@@ -138,11 +139,16 @@ def test_criterion_5_mfold_identities_bulk():
         loop = nonzero_action_loop(rng, frame, n_pts=48)
         for m in (2, 3, 4, 6):
             out = symmetrize_mfold(loop, body, m)
-            for rec in out.decomposition:
-                predicted = m * rec["closed_action"] + rec["polygon_term"]
-                gap = abs(rec["candidate_action"] - predicted)
+            # each prediction against the candidate built and measured
+            ref = reference_mfold_candidates(loop, body, m)
+            for rec, (_, measured) in zip(out.decomposition, ref, strict=True):
+                gap = abs(rec["candidate_action"] - measured)
                 worst_identity = max(worst_identity, gap)
                 assert gap <= 1e-8 * max(1.0, abs(rec["candidate_action"]))
+            built, built_action = ref[out.chosen_index]
+            assert np.array_equal(
+                out.output.vertices, built * (1.0 / math.sqrt(built_action))
+            )
             best = max(r["candidate_action"] for r in out.decomposition)
             assert best >= out.pre_action - 1e-8
     _report(

@@ -93,10 +93,11 @@ def test_symmetrize_writes_outcome(tmp_path, capsys):
     outcome = json.loads(out_path.read_text())
     assert set(outcome) >= {"output", "post_action", "post_length", "residuals"}
     assert outcome["output"]["dim"] == 2
-    # higher symmetry orders run through the same entry point
-    code, out, _ = run_cli(capsys, ["symmetrize", loop, "--body", body, "--m", "3"])
-    assert code == 0
-    assert out.startswith("action ")
+    # higher symmetry orders, up to the cap, run through the same entry point
+    for m in ("3", str(symmetry.MAX_ORDER)):
+        code, out, err = run_cli(capsys, ["symmetrize", loop, "--body", body, "--m", m])
+        assert code == 0, err
+        assert out.startswith("action ")
 
 
 def test_girth_reports_length_and_margin(tmp_path, capsys):

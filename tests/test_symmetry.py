@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from symcap import capacity
+from symcap import capacity, symmetry
 from symcap.capacity import OptimizerConfig, clarke_minimize
 from symcap.errors import (
     BodyNotSymmetric,
     BodyNotSymmetricUnderW,
+    CalibrationError,
     ZeroAction,
 )
 from symcap.geometry import Ellipsoid, LpBall, Polytope, ball, cube, lp_ball
@@ -20,6 +21,7 @@ from symcap.symplectic import SymplecticFrame
 from helpers import (
     central_residual,
     nonzero_action_loop,
+    reference_mfold_candidates,
     reference_symmetrize_central,
     regular_polygon,
 )
@@ -91,13 +93,16 @@ def test_mfold_bulk_identity_and_invariance():
         m = (2, 3, 4, 6)[i % 4]
         loop = nonzero_action_loop(rng, frame, n_pts=36)
         out = symmetrize_mfold(loop, body, m)
-        # the exact decomposition was already verified internally; re-check
-        # the reported records independently
-        for rec in out.decomposition:
-            predicted = m * rec["closed_action"] + rec["polygon_term"]
+        # each reported prediction against the candidate built and measured
+        ref = reference_mfold_candidates(loop, body, m)
+        for rec, (_, measured) in zip(out.decomposition, ref, strict=True):
             assert rec["candidate_action"] == pytest.approx(
-                predicted, rel=1e-9, abs=1e-9
+                measured, rel=1e-9, abs=1e-9
             )
+        built, built_action = ref[out.chosen_index]
+        assert np.array_equal(
+            out.output.vertices, built * (1.0 / math.sqrt(built_action))
+        )
         actions = [r["candidate_action"] for r in out.decomposition]
         best = max(actions)
         assert best >= out.pre_action - 1e-8
@@ -119,6 +124,32 @@ def test_mfold_bulk_identity_and_invariance():
                 assert np.array_equal(
                     np.roll(v, -block, axis=0), frame.root_multiply(m, 1, v)
                 )
+
+
+@pytest.mark.parametrize("m", [3, 64])
+def test_mfold_builds_only_the_chosen_candidate(monkeypatch, m):
+    # m rotations for the chosen candidate's blocks, one for its symmetry
+    # residual and two in the ball's is_invariant test: no other candidate
+    loop = nonzero_action_loop(np.random.default_rng(7), SymplecticFrame(2))
+    calls = []
+    root_multiply = SymplecticFrame.root_multiply
+
+    def counted(self, *args):
+        calls.append(args)
+        return root_multiply(self, *args)
+
+    monkeypatch.setattr(SymplecticFrame, "root_multiply", counted)
+    symmetrize_mfold(loop, ball(4), m)
+    assert len(calls) == m + 3
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_mfold_prediction_check_catches_a_wrong_polygon_term(monkeypatch, m):
+    loop = nonzero_action_loop(np.random.default_rng(8), SymplecticFrame(2))
+    exact = symmetry.alpha_m
+    monkeypatch.setattr(symmetry, "alpha_m", lambda k: 1.001 * exact(k))
+    with pytest.raises(CalibrationError, match="deviates from the exact decomposition"):
+        symmetrize_mfold(loop, ball(4), m)
 
 
 def test_mfold_two_equals_central():
