@@ -542,7 +542,8 @@ def _c_j_vertex_pairs(body: Polytope, frame) -> CapacityResult:
 
 def _c_j_spectral(body: Ellipsoid) -> CapacityResult:
     # polar points are M^{1/2} u with |u| <= 1, so the largest omega value is
-    # the top singular value of S = M^{1/2} J M^{1/2}
+    # the top singular value of S = M^{1/2} J M^{1/2}, and its singular pair
+    # S v = sigma u gives omega(x, y) = u^T S v = sigma > 0: no sign to fix
     frame = frame_for(body)
     root = body.sqrt_matrix()
     s_mat = root @ frame.j_matrix() @ root
@@ -550,8 +551,6 @@ def _c_j_spectral(body: Ellipsoid) -> CapacityResult:
     top = float(sing[0])
     x = root @ vt[0]
     y = root @ u_svd[:, 0]
-    if frame.omega(x, y) < 0:  # fix the sign of the singular pair
-        y = -y
     return CapacityResult(
         value=1.0 / top,
         method=METHOD_EXACT_SPECTRAL,

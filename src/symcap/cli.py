@@ -85,12 +85,7 @@ def _cmd_symmetrize(args):
 
 def _cmd_girth(args):
     body = _load_body(args.body)
-    length, loop = symmetric_girth(
-        body,
-        n_samples=args.samples,
-        k_neighbors=args.neighbors,
-        rng=args.seed,
-    )
+    length, loop = symmetric_girth(body, n_samples=args.samples, rng=args.seed)
     report = check_schaffer_bound(body, loop)
     _emit(
         args,
@@ -187,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("body", help="body JSON file")
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--neighbors", type=int, default=12)
     p.set_defaults(func=_cmd_girth)
 
     p = sub.add_parser("flow", parents=[as_json], help="characteristic flow")

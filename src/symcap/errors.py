@@ -53,8 +53,8 @@ class BodyNotSymmetricUnderW(BodyNotSymmetric):
 
 
 class GraphDisconnected(SymcapError, RuntimeError):
-    """No antipodal path exists in the boundary graph; increase the number of
-    neighbors."""
+    """No antipodal path exists in the boundary graph, as in one built from
+    a single pair of directions."""
 
 
 class LoopNotSymmetric(SymcapError, ValueError):
@@ -97,10 +97,9 @@ class OptimizerDidNotConverge(SymcapError, RuntimeError):
 
 
 class InvalidParameter(SymcapError, ValueError):
-    """A value given by the caller is out of range: too few loop points,
-    restarts or neighbors, an odd count where pairs are needed, a symmetry
-    order below 2, a flow step outside (0, t_max) or a start point off the
-    boundary."""
+    """A value given by the caller is out of range: too few loop points or
+    restarts, an odd count where pairs are needed, a symmetry order below 2,
+    a flow step outside (0, t_max) or a start point off the boundary."""
 
 
 class SpecParseError(SymcapError, ValueError):

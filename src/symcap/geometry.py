@@ -232,14 +232,11 @@ class Ellipsoid(ConvexBody):
         # and so would its products c^T M c = e and M c = -(1 - e) c.  Its
         # matrix, from M^-1, is symmetric only to about cond(M) eps, so it is
         # symmetrized here, to the bits the constructor would give it.
-        if self._e == 0.0:
-            polar = Ellipsoid(0.5 * (self._inv + self._inv.T))
-            polar._inv = self.matrix
-            return polar
         # The polar of a shifted ellipsoid is again a shifted ellipsoid:
         # {y : <y,c> + sqrt(y^T M^-1 y) <= 1} has the quadratic description
         # y^T Q y + 2<c,y> - 1 <= 0 with Q = M^-1 - c c^T, whose inverse is
-        # M + Mc (Mc)^T / (1 - c^T M c) by Sherman-Morrison.
+        # M + Mc (Mc)^T / (1 - c^T M c) by Sherman-Morrison.  At c = 0 the
+        # same formulas give M^-1 and M to the bit, and a center of -0.0.
         c = self.center
         one_e = 1.0 - self._e
         mc = self._mc

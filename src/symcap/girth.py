@@ -21,7 +21,7 @@ not a discovery, and is flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -47,6 +47,7 @@ REFINE_ITERATIONS = 400
 SEARCH_CHUNK = 128  # sources between lowerings of best and the search radius
 BLOCK_FLOATS = 1 << 17  # floats in one Dijkstra call's rows or gauge slice: 1 MiB
 MAX_SAMPLES = 1 << 16  # boundary samples a caller may ask for
+NEIGHBORS = 12  # few edges keep the search cheap; gaps on a 2-d boundary double it
 
 
 def schaffer_bound(dim: int) -> float:
@@ -69,11 +70,10 @@ def check_sample_count(n_samples: int) -> None:
 class BoundaryGraph:
     """Antipodally paired boundary samples with gauge-weighted kNN edges."""
 
-    body: ConvexBody
     samples: np.ndarray
     antipode: np.ndarray
     graph: csr_matrix
-    k_neighbors: int
+    k_neighbors: int  # the count the doubling reached
 
     @property
     def size(self) -> int:
@@ -83,7 +83,6 @@ class BoundaryGraph:
 def build_boundary_graph(
     body: ConvexBody,
     n_samples: int = 4096,
-    k_neighbors: int = 12,
     rng=None,
     directions=None,
 ) -> BoundaryGraph:
@@ -92,12 +91,12 @@ def build_boundary_graph(
     Each drawn direction contributes the pair +-x of boundary points, so the
     antipodal map is the exact index shift by n_samples/2.  Edge weights are
     gauge values of the vertex differences; for a symmetric body these are
-    symmetric in the edge direction, making the graph undirected.
+    symmetric in the edge direction, making the graph undirected.  Each
+    sample is joined to its NEIGHBORS nearest, doubled on the same samples
+    until every sample lies in its antipode's component or k >= p - 1.
     """
     if not body.is_symmetric:
         raise BodyNotSymmetric("boundary graph needs a centrally symmetric body")
-    if k_neighbors < 1:
-        raise InvalidParameter("k_neighbors must be at least 1")
     if directions is None:
         check_sample_count(n_samples)
         rng = as_rng(rng if rng is not None else 0)
@@ -111,33 +110,40 @@ def build_boundary_graph(
     antipode = np.concatenate(
         [np.arange(p // 2, p), np.arange(0, p // 2)]
     )
+    # a 1-dimensional boundary (d = 2) is cut in two by any gap between
+    # samples wider than k neighbors reach; doubling k on the same samples
+    # closes it, and a graph that is already connected stays as it is
+    k = NEIGHBORS
+    graph = _neighbor_graph(body, samples, k)
+    labels = connected_components(graph)[1]
+    while np.any(labels != labels[antipode]) and k < p - 1:
+        k *= 2
+        graph = _neighbor_graph(body, samples, k)
+        labels = connected_components(graph)[1]
     return BoundaryGraph(
-        body=body,
-        samples=samples,
-        antipode=antipode,
-        graph=_neighbor_graph(body, samples, k_neighbors),
-        k_neighbors=k_neighbors,
+        samples=samples, antipode=antipode, graph=graph, k_neighbors=k
     )
 
 
-def _neighbor_graph(body, samples, k_neighbors) -> csr_matrix:
+def _neighbor_graph(body, samples, k) -> csr_matrix:
     """Each sample joined to its k nearest samples, weighted by the gauge."""
     p = len(samples)
-    tree = cKDTree(samples)
-    k = min(k_neighbors + 1, p)
-    idx = tree.query(samples, k=k)[1]
-    rows = np.repeat(np.arange(p), k - 1)
+    idx = cKDTree(samples).query(samples, k=min(k + 1, p))[1]
+    rows = np.repeat(np.arange(p), idx.shape[1] - 1)
     cols = idx[:, 1:].ravel()
     # a chord to a sample's own antipode passes through 0, where no
     # boundary ray is defined
     keep = cols != (rows + p // 2) % p
     rows, cols = rows[keep], cols[keep]
-    # the gauge in slices of at most BLOCK_FLOATS differences' coordinates;
-    # a slice of 2+ rows moves no bit, one of 1 row can (polytope matvec)
-    weights = np.empty(len(rows))
-    step = max(1, BLOCK_FLOATS // samples.shape[1])
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
+    # the gauge in n equal slices of at most BLOCK_FLOATS differences'
+    # coordinates: a slice of 1 row can move bits (polytope matvec), one of
+    # 2+ rows moves none, and with n > 1 each holds more than half of
+    # BLOCK_FLOATS // d >= 4 rows, so the weights are one call's bits
+    e = len(rows)
+    n = -(-e // max(1, BLOCK_FLOATS // samples.shape[1]))
+    weights = np.empty(e)
+    for i in range(n):
+        part = slice(i * e // n, (i + 1) * e // n)
         weights[part] = body.gauge(samples[cols[part]] - samples[rows[part]])
     graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
     # with the antipodal image of every edge, x -> -x maps the graph onto
@@ -151,15 +157,12 @@ def shortest_antipodal_path(bgraph: BoundaryGraph, source: int):
     """Graph-shortest path from one sample to its antipode.
 
     Returns (length, vertex index list).  Raises if the two are not
-    connected, which means the neighbor count is too small for the sampling
-    density.
+    connected, as on a graph built from one pair of directions.
     """
     target = int(bgraph.antipode[source])
     dist, pred = dijkstra(bgraph.graph, indices=source, return_predecessors=True)
     if not np.isfinite(dist[target]):
-        raise GraphDisconnected(
-            "no boundary path between antipodes; increase k_neighbors"
-        )
+        raise GraphDisconnected("no boundary path between antipodes")
     path = [target]
     while path[-1] != source:
         path.append(int(pred[path[-1]]))
@@ -269,40 +272,17 @@ def refine_symmetric_half(body: ConvexBody, half):
     return half, length
 
 
-def symmetric_girth(
-    body: ConvexBody,
-    n_samples: int = 4096,
-    k_neighbors: int = 12,
-    rng=None,
-):
+def symmetric_girth(body: ConvexBody, n_samples: int = 4096, rng=None):
     """Upper bound for the minimal symmetric closed boundary curve length.
 
-    Finds the sample nearest its antipode in the boundary graph (doubling
-    the neighbor count until every antipodal pair is connected), doubles
+    Finds the sample nearest its antipode in the boundary graph, doubles
     that half-path into an exactly symmetric closed loop, and tightens it by
     projected descent.  Returns ``(length, vertices)``, the half-curve and
     its negation as one (N, d) array in every dimension: a curve measured
     in the gauge, with no symplectic action to carry.
     """
     bound = schaffer_bound(body.dim)
-    bgraph = build_boundary_graph(
-        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng
-    )
-    p = bgraph.size
-    # a 1-dimensional boundary (d = 2) is cut in two by any gap between
-    # samples wider than k neighbors reach; doubling k on the same samples
-    # closes it, and a graph that is already connected stays as it is
-    labels = connected_components(bgraph.graph)[1]
-    while np.any(labels != labels[bgraph.antipode]) and bgraph.k_neighbors < p - 1:
-        k = 2 * bgraph.k_neighbors
-        bgraph = replace(
-            bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
-        )
-        labels = connected_components(bgraph.graph)[1]
-    if np.any(labels != labels[bgraph.antipode]):
-        raise GraphDisconnected(
-            "some antipodal pairs are unreachable; increase k_neighbors"
-        )
+    bgraph = build_boundary_graph(body, n_samples=n_samples, rng=rng)
     _, path = shortest_antipodal_path(bgraph, _shortest_antipodal_source(bgraph))
     half = bgraph.samples[path]
 

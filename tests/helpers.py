@@ -35,6 +35,7 @@ from symcap.geometry import (
     lp_ball,
 )
 from symcap.girth import (
+    NEIGHBORS,
     REFINE_POINTS,
     SEARCH_CHUNK,
     _band_sources,
@@ -433,24 +434,24 @@ def reference_antipodal_source(bgraph):
     return int(sources[np.argmin(meet)])
 
 
-def reference_symmetric_girth(
-    body, n_samples, k_neighbors, rng, source, directions=None
-):
-    """``symmetric_girth`` from the full sweep and a given source: double k
-    until every d(x, -x) is finite, trace the path from ``source`` with an
-    undirected search, then resample and refine as the library does.
+def reference_symmetric_girth(body, n_samples, rng, source, directions=None):
+    """``symmetric_girth`` from the full sweep and a given source: on the
+    library's samples, double k from NEIGHBORS until every d(x, -x) is
+    finite, trace the path from ``source`` with an undirected search, then
+    resample and refine as the library does.
     Returns (final k, d(x, -x) for every x < p/2, length, loop vertices)."""
     bgraph = build_boundary_graph(
-        body, n_samples=n_samples, k_neighbors=k_neighbors, rng=rng,
-        directions=directions,
+        body, n_samples=n_samples, rng=rng, directions=directions
     )
-    dists = reference_antipodal_distances(bgraph)
-    while not np.all(np.isfinite(dists)):
-        k = 2 * bgraph.k_neighbors
+    k = NEIGHBORS
+    while True:
         bgraph = replace(
             bgraph, graph=_neighbor_graph(body, bgraph.samples, k), k_neighbors=k
         )
         dists = reference_antipodal_distances(bgraph)
+        if np.all(np.isfinite(dists)):
+            break
+        k *= 2
     target = int(bgraph.antipode[source])
     _, pred = dijkstra(
         bgraph.graph, directed=False, indices=source, return_predecessors=True

@@ -246,7 +246,7 @@ def test_criterion_8_planar_girth():
     ]
     lengths = []
     for index, body in enumerate(bodies):
-        length, _ = symmetric_girth(body, n_samples=1024, k_neighbors=12, rng=index)
+        length, _ = symmetric_girth(body, n_samples=1024, rng=index)
         assert length >= 6.0 - 1e-2
         lengths.append(length)
     _report(8, "five planar bodies, girths " + ", ".join(f"{v:.3f}" for v in lengths))

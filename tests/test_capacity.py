@@ -715,10 +715,23 @@ def test_c_j_polytope_vertex_pairs_vs_general_path():
 
 
 def test_c_j_spectral_vs_general_path():
-    body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
-    exact = c_j(body)
-    opt = c_j(body, method="optimize", seed=12)
-    assert opt.value == pytest.approx(exact.value, rel=1e-9)
+    # the top singular pair of M^{1/2} J M^{1/2} attains omega = 1/value
+    # with no sign fix, on axis-aligned and random SPD matrices alike
+    rng = np.random.default_rng(12)
+    bodies = [Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])] + [
+        Ellipsoid(random_spd_matrix(rng, dim)) for dim in (2, 4, 6, 8)
+    ]
+    for body in bodies:
+        exact = c_j(body)
+        assert exact.method == METHOD_EXACT_SPECTRAL
+        x, y = exact.witness
+        frame = SymplecticFrame(body.dim // 2)
+        assert frame.omega(x, y) == pytest.approx(1.0 / exact.value, rel=1e-12)
+        polar = body.polar()
+        assert polar.gauge(x) == pytest.approx(1.0, abs=1e-9)
+        assert polar.gauge(y) == pytest.approx(1.0, abs=1e-9)
+        opt = c_j(body, method="optimize", seed=12)
+        assert opt.value == pytest.approx(exact.value, rel=1e-9)
 
 
 def test_c_j_shifted_ellipsoid_general_path():

@@ -1,7 +1,10 @@
+import argparse
 import csv
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symcap import capacity, characteristics, girth, symmetry, verify
 from symcap.capacity import CapacityResult, ellipsoid_ehz_exact
-from symcap.cli import main
+from symcap.cli import build_parser, main
 from symcap.errors import InvalidParameter, SpecParseError
 from symcap.verify import CSV_COLUMNS
 
@@ -492,6 +495,7 @@ def test_usage_errors_exit_2(capsys):
     "argv",
     [
         ["capacity", "BODY", "--symmetric"],
+        ["girth", "BODY", "--neighbors", "3"],  # the graph sets its own count
         ["cj", "BODY", "--tol", "1"],
         ["capacity", "BODY", "--tol", "1"],
         ["symmetrize", "BODY", "--body", "BODY", "--tol", "1"],
@@ -502,6 +506,7 @@ def test_usage_errors_exit_2(capsys):
     ],
     ids=[
         "capacity-symmetric",
+        "girth-neighbors",
         "cj-tol",
         "capacity-tol",
         "symmetrize-tol",
@@ -517,6 +522,28 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
         main([body if arg == "BODY" else arg for arg in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# flags of other tools that README.md names in its install and test notes
+OTHER_TOOLS_FLAGS = {"--no-build-isolation", "--durations"}
+
+
+def test_readme_names_every_option_and_no_other():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert options - named == set(), "options README.md does not name"
+    assert named - options - OTHER_TOOLS_FLAGS == set(), "flags no subcommand has"
 
 
 def test_capacity_odd_points_solves_without_symmetry(tmp_path, capsys):
@@ -535,7 +562,6 @@ def test_capacity_odd_points_solves_without_symmetry(tmp_path, capsys):
         ["girth", "--samples", "3"],
         ["girth", "--samples", "0"],
         ["girth", "--samples", "2"],
-        ["girth", "--neighbors", "0"],
         ["flow", "--start", "1,0", "--tmax", "0.5", "--step", "1"],
         ["flow", "--start", "2,0", "--tmax", "7"],
         ["flow", "--start", "a,b", "--tmax", "1"],
@@ -561,7 +587,6 @@ def test_capacity_odd_points_solves_without_symmetry(tmp_path, capsys):
         "odd-samples",
         "no-samples",
         "one-antipodal-pair",
-        "no-neighbors",
         "step-beyond-tmax",
         "start-off-boundary",
         "start-not-numbers",
@@ -822,7 +847,6 @@ INT_OPTIONS = [
     (["capacity", "BODY", "--points", "8", "--restarts", "1"], "--seed", 0, None),
     (["cj", "BODY"], "--seed", 0, None),
     (["girth", "BODY"], "--samples", 4, girth.MAX_SAMPLES),
-    (["girth", "BODY", "--samples", "16"], "--neighbors", 1, None),
     (["girth", "BODY", "--samples", "16"], "--seed", 0, None),
     (["symmetrize", "LOOP", "--body", "BODY"], "--m", 2, symmetry.MAX_ORDER),
     (["verify", "SUITE", "--profile", "tiny", "--out", "OUT"], "--seed", 0, None),

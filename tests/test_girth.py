@@ -56,8 +56,9 @@ def test_schaffer_bound_values():
 
 def test_boundary_graph_invariants():
     body = Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0])
-    bg = build_boundary_graph(body, n_samples=512, k_neighbors=8, rng=0)
+    bg = build_boundary_graph(body, n_samples=512, rng=0)
     assert bg.size == 512
+    assert bg.k_neighbors == girth.NEIGHBORS == 12  # connected as first built
     # samples on the boundary
     assert np.max(np.abs(body.gauge(bg.samples) - 1.0)) <= 1e-9
     # exact antipodal involution
@@ -83,18 +84,34 @@ def test_shortest_path_on_circle():
     # equally spaced directions make graph distances an explicit polygon sum
     t = math.pi * np.arange(180) / 180
     directions = np.stack([np.cos(t), np.sin(t)], axis=1)
-    bg = build_boundary_graph(ball(2), k_neighbors=2, directions=directions)
+    bg = build_boundary_graph(ball(2), directions=directions)
     length, path = shortest_antipodal_path(bg, 0)
-    # half circle as 180 chords of central angle pi/180
-    expected = 180 * 2 * math.sin(math.pi / 360)
+    # with 6 neighbors on either side: half circle as 30 chords of central
+    # angle 6 pi/180, each shorter than its arc
+    expected = 60 * math.sin(math.pi / 60)
     assert length == pytest.approx(expected, rel=1e-9)
+    assert len(path) == 31
     assert path[0] == 0
     assert path[-1] == bg.antipode[0]
-    assert length == pytest.approx(math.pi, rel=1e-4)
+    assert math.pi * (1 - 1e-3) < length < math.pi
+
+
+def arc_directions(n, arc):
+    """n directions evenly spaced over the angles [0, arc) of the plane: with
+    their antipodes, two arcs of samples separated by gaps of pi - arc."""
+    t = arc * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
 def test_graph_disconnected_raises():
-    bg = build_boundary_graph(ball(4), n_samples=32, k_neighbors=1, rng=0)
+    # a gap of 0.2 pi, 32 sample spacings wide: 12 and 24 neighbors leave
+    # the two arcs apart, 48 join them
+    bg = build_boundary_graph(ball(2), directions=arc_directions(128, 0.8 * np.pi))
+    assert bg.k_neighbors == 48
+    assert np.isfinite(shortest_antipodal_path(bg, 0)[0])
+    # one pair of samples has no edge but the chord through 0, left out
+    bg = build_boundary_graph(ball(2), directions=[[1.0, 0.0]])
+    assert bg.graph.nnz == 0
     with pytest.raises(GraphDisconnected):
         shortest_antipodal_path(bg, 0)
 
@@ -113,7 +130,7 @@ def test_refinement_monotone_and_on_boundary():
 
 
 def test_girth_ball_planar():
-    length, loop = symmetric_girth(ball(2), n_samples=512, k_neighbors=6, rng=1)
+    length, loop = symmetric_girth(ball(2), n_samples=512, rng=1)
     assert length == pytest.approx(2 * math.pi, rel=1e-3)
     report = check_schaffer_bound(ball(2), loop)
     assert not report["violation"]
@@ -131,7 +148,7 @@ def test_girth_ball_planar_wide_sample_gap(seed):
 
 
 def test_girth_ball_four_dimensional():
-    length, loop = symmetric_girth(ball(4), n_samples=2048, k_neighbors=10, rng=2)
+    length, loop = symmetric_girth(ball(4), n_samples=2048, rng=2)
     # the minimal symmetric curve on the round sphere is a great circle
     assert length == pytest.approx(2 * math.pi, rel=1e-3)
     report = check_schaffer_bound(ball(4), loop)
@@ -183,29 +200,30 @@ def equator_directions(n_equator, n_random, seed):
 
 
 @pytest.mark.parametrize(
-    "body, n_samples, k_neighbors, directions",
+    "body, n_samples, directions",
     [
-        (ball(2), 64, 1, None),  # k = 1 and 2 leave gaps: the doubling loop runs
-        (ball(2), 256, 2, None),
-        (ball(3), 512, 12, None),  # odd dimension
-        (ball(4), 1024, 12, None),
-        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, 12, None),
-        (Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]), 1024, 12, None),
-        (cube(4), 1024, 12, None),
-        (lp_ball(1, np.ones(4)), 512, 12, None),
-        (lp_ball(4.0, np.ones(4)), 512, 12, None),
+        # gaps of 0.2 pi that 12 neighbors leave: the doubling runs to 24, 48
+        (ball(2), None, arc_directions(64, 0.8 * np.pi)),
+        (ball(2), None, arc_directions(128, 0.8 * np.pi)),
+        (ball(3), 512, None),  # odd dimension
+        (ball(4), 1024, None),
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 1024, None),
+        (Ellipsoid.from_radii([1.0, 1.2, 1.5, 1.0, 1.2, 1.5]), 1024, None),
+        (cube(4), 1024, None),
+        (lp_ball(1, np.ones(4)), 512, None),
+        (lp_ball(4.0, np.ones(4)), 512, None),
         # samples with x0 = 0 exactly, which the band splits by index
-        (ball(4), None, 12, grid_directions(4, 40, 0)),
-        (cube(4), None, 12, grid_directions(4, 160, 0)),
+        (ball(4), None, grid_directions(4, 40, 0)),
+        (cube(4), None, grid_directions(4, 160, 0)),
     ],
     ids=[
-        "ball2-k1", "ball2-k2", "ball3", "ball4", "e12", "e6", "cube4", "cross4",
-        "l4", "ball4-grid", "cube4-grid",
+        "ball2-gap24", "ball2-gap48", "ball3", "ball4", "e12", "e6", "cube4",
+        "cross4", "l4", "ball4-grid", "cube4-grid",
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_girth_source_is_the_full_sweep_argmin(
-    monkeypatch, body, n_samples, k_neighbors, directions, seed
+    monkeypatch, body, n_samples, directions, seed
 ):
     # the band search must pick a source of least d(x, -x) over a full
     # Dijkstra from every sample, on a graph with the same neighbor count,
@@ -223,18 +241,17 @@ def test_girth_source_is_the_full_sweep_argmin(
         girth, "build_boundary_graph",
         partial(build_boundary_graph, directions=directions),
     )
-    length, loop = symmetric_girth(body, n_samples, k_neighbors, rng=seed)
+    length, loop = symmetric_girth(body, n_samples, rng=seed)
     assert len(chosen) == 1
     k, source = chosen[0]
     ref_k, dists, ref_length, ref_vertices = reference_symmetric_girth(
-        body, n_samples, k_neighbors, seed, source, directions
+        body, n_samples, seed, source, directions
     )
     assert k == ref_k
     assert dists[source] == pytest.approx(dists.min(), rel=1e-12, abs=0)
     assert length.hex() == ref_length.hex()
     assert np.array_equal(loop, ref_vertices)
-    if k_neighbors < 3:
-        assert ref_k > k_neighbors
+    assert (k > girth.NEIGHBORS) == (body.dim == 2)
 
 
 @pytest.mark.parametrize(
@@ -294,27 +311,32 @@ def test_girth_sources_are_fewer_than_the_band():
 
 
 @pytest.mark.parametrize(
-    "body, n_samples, k_neighbors",
+    "body, n_samples, seed, directions, slice_rows",
     [
-        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4096, 12),
-        (lp_ball(4.0, np.ones(4)), 4096, 12),
-        (lp_ball(1, np.ones(4)), 4096, 12),
-        (ball(2), 256, 1),  # k = 1 leaves gaps: every doubled graph is checked
+        (Ellipsoid.from_radii([1.0, 2.0, 1.0, 2.0]), 4096, 0, None, 7),
+        (lp_ball(4.0, np.ones(4)), 4096, 0, None, 7),
+        (lp_ball(1, np.ones(4)), 4096, 0, None, 7),
+        # 6144 edges in slices of at most 6143 rows: slices cut from the
+        # front would leave a last one of 1 row, whose gauge takes BLAS's
+        # matvec path
+        (lp_ball(1, np.ones(4)), 512, 5, None, 6143),
+        # a gap that 12 neighbors leave: every doubled graph is checked
+        (ball(2), None, 0, arc_directions(128, 0.8 * np.pi), 7),
     ],
-    ids=["e12", "l4", "cross4", "ball2-k1"],
+    ids=["e12", "l4", "cross4", "cross4-6143-rows", "ball2-gap48"],
 )
 def test_blocked_graph_and_search_match_the_one_batch_references(
-    monkeypatch, body, n_samples, k_neighbors
+    monkeypatch, body, n_samples, seed, directions, slice_rows
 ):
-    # gauge slices of 7 differences, and Dijkstra calls of 48 sources, so
-    # that each 128-source radius block runs as 48 + 48 + 32: weights, graph
-    # and meet values must come out bit for bit as from one gauge call and
-    # one Dijkstra call per radius block
+    # gauge slices of at most slice_rows differences, and Dijkstra calls of
+    # 48 sources, so that each 128-source radius block runs as 48 + 48 + 32:
+    # weights, graph and meet values must come out bit for bit as from one
+    # gauge call and one Dijkstra call per radius block
     graph_calls, searched = [], []
     build, meet_values = girth._neighbor_graph, girth._meet_values
 
     def blocked_build(body, samples, k):
-        monkeypatch.setattr(girth, "BLOCK_FLOATS", 7 * samples.shape[1])
+        monkeypatch.setattr(girth, "BLOCK_FLOATS", slice_rows * samples.shape[1])
         graph = build(body, samples, k)
         ref = reference_neighbor_graph(body, samples, k)
         for part in ("indptr", "indices", "data"):
@@ -332,11 +354,15 @@ def test_blocked_graph_and_search_match_the_one_batch_references(
 
     monkeypatch.setattr(girth, "_neighbor_graph", blocked_build)
     monkeypatch.setattr(girth, "_meet_values", blocked_meet_values)
-    symmetric_girth(body, n_samples, k_neighbors, rng=0)
+    monkeypatch.setattr(
+        girth, "build_boundary_graph",
+        partial(build_boundary_graph, directions=directions),
+    )
+    symmetric_girth(body, n_samples, rng=seed)
     assert len(searched) == 1
     if body.dim == 2:
         assert len(graph_calls) > 1
-    else:
+    elif n_samples == 4096:
         assert searched[0] > girth.SEARCH_CHUNK  # several radius blocks
 
 
@@ -383,7 +409,7 @@ def test_girth_coarse_planar_graph_meets_the_bound():
 
 
 def test_girth_odd_dimension():
-    length, loop = symmetric_girth(ball(3), n_samples=1024, k_neighbors=10, rng=3)
+    length, loop = symmetric_girth(ball(3), n_samples=1024, rng=3)
     assert length == pytest.approx(2 * math.pi, rel=1e-2)
     assert isinstance(loop, np.ndarray)  # no symplectic frame in odd dimension
     report = check_schaffer_bound(ball(3), loop)
@@ -392,7 +418,7 @@ def test_girth_odd_dimension():
 
 
 def test_girth_cube():
-    length, loop = symmetric_girth(cube(4), n_samples=2048, k_neighbors=10, rng=4)
+    length, loop = symmetric_girth(cube(4), n_samples=2048, rng=4)
     assert length >= 5.0 - 1e-2
     assert length <= 8.0 + 1e-6  # a coordinate square gives 8, search must beat it
     report = check_schaffer_bound(cube(4), loop)
@@ -407,7 +433,7 @@ def test_girth_planar_bodies_reach_six():
         random_symmetric_ellipsoid(rng, 2),
     ]
     for body in bodies:
-        length, loop = symmetric_girth(body, n_samples=720, k_neighbors=12, rng=6)
+        length, loop = symmetric_girth(body, n_samples=720, rng=6)
         assert length >= 6.0 - 1e-2
         report = check_schaffer_bound(body, loop)
         assert not report["violation"]
@@ -415,7 +441,7 @@ def test_girth_planar_bodies_reach_six():
 
 def test_girth_anisotropic_ellipse():
     body = Ellipsoid.from_radii([1.0, 2.0])
-    length, _ = symmetric_girth(body, n_samples=720, k_neighbors=12, rng=7)
+    length, _ = symmetric_girth(body, n_samples=720, rng=7)
     # own-norm lengths are scale invariant, and E(1, 2) stays close to the
     # round value
     assert length >= 6.0 - 1e-2
