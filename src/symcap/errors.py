@@ -99,7 +99,7 @@ class OptimizerDidNotConverge(SymcapError, RuntimeError):
 class InvalidParameter(SymcapError, ValueError):
     """A value given by the caller is out of range: too few loop points or
     restarts, an odd count where pairs are needed, a symmetry order below 2,
-    a flow step outside (0, t_max) or a start point off the boundary."""
+    a flow sample spacing outside (0, t_max) or a start point off the boundary."""
 
 
 class SpecParseError(SymcapError, ValueError):

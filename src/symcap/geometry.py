@@ -60,6 +60,14 @@ def _finite(name, values) -> np.ndarray:
     return values
 
 
+def _power_sum(z, p):
+    """Row maxima m of z >= 0, z divided by them (a zero row stays 0) and the
+    sum s of the quotients' p-th powers: ||z||_p = m s^(1/p), finite at large p."""
+    m = np.maximum.reduce(z, axis=-1)
+    zn = z / np.where(m == 0.0, 1.0, m)[..., None]
+    return m, zn, np.add.reduce(zn**p, axis=-1)
+
+
 class ConvexBody:
     """Common behavior for all body kinds; not instantiated directly."""
 
@@ -288,30 +296,24 @@ class LpBall(ConvexBody):
             )
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
+        if self.q == 1.0:  # from p = 2^53 or so
+            raise NonConvexParameters(f'p={p} rounds p/(p - 1) to 1; use "p": "inf"')
         self.weights = weights
-
-    def _scaled_norm(self, z, expo):
-        # max-factored power sum, stable for large exponents
-        m = np.maximum.reduce(z, axis=-1)
-        safe = np.where(m == 0.0, 1.0, m)
-        s = np.add.reduce((z / safe[..., None]) ** expo, axis=-1)
-        return np.where(m == 0.0, 0.0, safe * s ** (1.0 / expo))
 
     def gauge(self, x):
         x = self._check_vec(x)
-        return self._scaled_norm(np.abs(x) / self.weights, self.p)
+        m, _, s = _power_sum(np.abs(x) / self.weights, self.p)
+        return np.where(m == 0.0, 0.0, m * s ** (1.0 / self.p))
 
     def support_and_point(self, u):
-        # the polar's gauge argument z = |u| / w° and exponent p°: its row
-        # maximum and power sum serve both, and h is ``support`` bit for bit
+        # the polar's gauge argument z = |u| / w° and exponent p°: its power
+        # sum serves both, and h is ``support`` bit for bit
         u = self._check_vec(u)
         polar = self.polar()
-        q, z = polar.p, np.abs(u) / polar.weights
-        m = np.maximum.reduce(z, axis=-1)
+        q = polar.p
+        m, zn, s = _power_sum(np.abs(u) / polar.weights, q)
         if _has_zero(m):
             raise GradientUndefinedAtZero("support point undefined for direction 0")
-        zn = z / m[..., None]
-        s = np.add.reduce(zn**q, axis=-1)
         point = self.weights * np.sign(u) * zn ** (q - 1.0) / s[..., None] ** (
             (q - 1.0) / q
         )
@@ -408,7 +410,8 @@ class Polytope(ConvexBody):
         self.offsets = offsets
         halfspaces = np.hstack([normals, -offsets[:, None]])
         try:
-            hs = HalfspaceIntersection(halfspaces, np.zeros(self.dim))
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf if unbounded
+                hs = HalfspaceIntersection(halfspaces, np.zeros(self.dim))
             pts = hs.intersections
             if not np.all(np.isfinite(pts)):
                 raise NonConvexParameters("halfspace intersection is unbounded")
@@ -441,15 +444,11 @@ class Polytope(ConvexBody):
         """
         u = self._check_vec(u)
         verts = self.vertices
-        z = u @ verts.T
-        zmax = np.maximum.reduce(z, axis=-1)
-        safe = np.where(zmax <= 0.0, 1.0, zmax)
-        zc = np.clip(z, 0.0, None) / safe[..., None]
-        s = np.add.reduce(zc**p, axis=-1)
+        m, zc, s = _power_sum(np.clip(u @ verts.T, 0.0, None), p)
         # a zero edge gives z == 0 everywhere; its support is 0 and the zero
         # vector is a valid subgradient there
         s_safe = np.where(s <= 0.0, 1.0, s)
-        h = np.where(s <= 0.0, 0.0, safe * s_safe ** (1.0 / p))
+        h = np.where(s <= 0.0, 0.0, m * s_safe ** (1.0 / p))
         w = zc ** (p - 1.0) / s_safe[..., None] ** ((p - 1.0) / p)
         return h, w @ verts
 

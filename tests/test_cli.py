@@ -212,6 +212,12 @@ def test_verify_records_per_body_failures(tmp_path, capsys):
             "bodies": [
                 {"id": "bad-torus", "kind": "torus", "dim": 4, "params": {}},
                 BALL2,
+                {
+                    "id": "odd-ball",
+                    "kind": "ellipsoid",
+                    "dim": 3,
+                    "params": {"radii": [1, 1, 1]},
+                },
             ],
             "profiles": TINY_PROFILE,
         },
@@ -227,8 +233,11 @@ def test_verify_records_per_body_failures(tmp_path, capsys):
     assert report["all_pass"] is False
     assert report["records"][0]["status"].startswith("error:")
     assert report["records"][1]["status"] == "ok"
+    assert report["records"][2]["status"] == (
+        "error: SpecParseError: verification needs an even dimension, got 3"
+    )
     lines = (out_dir / "report.csv").read_text().splitlines()
-    assert len(lines) == 3  # header plus one row per body, failures included
+    assert len(lines) == 4  # header plus one row per body, failures included
 
 
 @pytest.mark.parametrize(
@@ -766,6 +775,33 @@ def test_malformed_loop_file_exits_2(tmp_path, capsys, text):
         },
         # finite and positive, but the polar's weight 1 / 5e-324 is not finite
         {"kind": "lp", "dim": 2, "params": {"p": 4, "weights": [5e-324, 1]}},
+        # p / (p - 1) rounds to 1, the conjugate of p = inf
+        {"kind": "lp", "dim": 2, "params": {"p": 1e16, "weights": [1, 1]}},
+        # halfspaces that leave a direction free: Qhull's intersection divides
+        # by 0, and no numpy warning may precede the error line
+        {
+            "kind": "polytope_h",
+            "dim": 2,
+            "params": {"normals": [[1, 0], [-1, 0], [0, 1]], "offsets": [1, 1, 1]},
+        },
+        {
+            "kind": "polytope_h",
+            "dim": 3,
+            "params": {
+                "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
+                "offsets": [1, 1, 1, 1, 1],
+            },
+        },
+        {
+            "kind": "polytope_h",
+            "dim": 2,
+            "params": {"normals": [[1, 0], [-1, 0], [0, 1]], "offsets": [1, 0, 1]},
+        },
+        {
+            "kind": "polytope_h",
+            "dim": 2,
+            "params": {"normals": [[1, 0], [-1, 0], [0, 0]], "offsets": [1, 1, 1]},
+        },
     ],
     ids=[
         "radii-not-numbers",
@@ -783,6 +819,11 @@ def test_malformed_loop_file_exits_2(tmp_path, capsys, text):
         "vertex-nan",
         "qhull-report",
         "weight-subnormal",
+        "p-conjugate-is-one",
+        "halfspaces-unbounded-d2",
+        "halfspaces-unbounded-d3",
+        "offset-not-positive",
+        "normal-zero",
     ],
 )
 def test_malformed_body_params_exit_2(tmp_path, capsys, spec):

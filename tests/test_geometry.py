@@ -336,7 +336,9 @@ def test_constructor_validation():
 
 
 KERNEL_BODIES = BODIES + [
-    ("spd-ellipsoid", Ellipsoid(random_spd_matrix(np.random.default_rng(3), 4)))
+    ("spd-ellipsoid", Ellipsoid(random_spd_matrix(np.random.default_rng(3), 4))),
+    # q = 40/39: zn**p underflows on most rows and zn**(q - 1) is nearly 1
+    ("l40-spread", lp_ball(40.0, np.array([1.0, 1e-4, 1e4, 1.0]))),
 ]
 
 
