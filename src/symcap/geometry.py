@@ -64,7 +64,7 @@ def _power_sum(z, p):
     """Row maxima m of z >= 0, z divided by them (a zero row stays 0) and the
     sum s of the quotients' p-th powers: ||z||_p = m s^(1/p), finite at large p."""
     m = np.maximum.reduce(z, axis=-1)
-    zn = z / np.where(m == 0.0, 1.0, m)[..., None]
+    zn = z / (np.where(m == 0.0, 1.0, m) if _has_zero(m) else m)[..., None]
     return m, zn, np.add.reduce(zn**p, axis=-1)
 
 

@@ -2,16 +2,16 @@
 
 The minimal gauge length of such a curve (the girth-type quantity of the
 body in its own norm) is approached from above in two stages: a k-nearest
-neighbor graph over antipodally paired boundary samples supplies globally
-reasonable half-curves from a point to its antipode, and a projected,
-strictly monotone local descent tightens the half while keeping every vertex
-on the boundary.  The half-curve starts at a sample x of least graph
-distance d(x, -x), any one of them: a shortest path from such an x to -x
-crosses x0 = 0 on an edge whose two ends are both such x, so the ends
-nearer x0 = 0 of the crossing edges hold one, and Dijkstra searches from
-them cut off at about half of d(x, -x), where the searches from x and -x
-meet, find it.  The curve is stored as one half plus its reflection, so
-central symmetry is exact by construction.
+neighbor graph over antipodally paired boundary samples, built at one sample
+of each pair and mirrored, supplies globally reasonable half-curves from a
+point to its antipode, and a projected, strictly monotone local descent
+tightens the half while keeping every vertex on the boundary.  The
+half-curve starts at a sample x of least graph distance d(x, -x), any one of
+them: a shortest path from such an x to -x crosses x0 = 0 on an edge whose
+two ends are both such x, so the ends nearer x0 = 0 of the crossing edges
+hold one, and Dijkstra searches from them cut off at about half of d(x, -x),
+where the searches from x and -x meet, find it.  The curve is stored as one
+half plus its reflection, so central symmetry is exact by construction.
 
 ``check_schaffer_bound`` reports the margin of a symmetric boundary loop
 against the guaranteed lower bound 4 + 4/d (even dimension; 4 + 4/(d-1) in
@@ -89,11 +89,11 @@ def build_boundary_graph(
     """Sample the boundary in antipodal pairs and connect near neighbors.
 
     Each drawn direction contributes the pair +-x of boundary points, so the
-    antipodal map is the exact index shift by n_samples/2.  Edge weights are
-    gauge values of the vertex differences; for a symmetric body these are
-    symmetric in the edge direction, making the graph undirected.  Each
-    sample is joined to its NEIGHBORS nearest, doubled on the same samples
-    until every sample lies in its antipode's component or k >= p - 1.
+    antipodal map is the exact index shift by n_samples/2.  Edges are gauged
+    at the first half only and mirrored onto the second: an undirected,
+    antipodally invariant graph for a symmetric gauge.  Each sample is
+    joined to its NEIGHBORS nearest, doubled on the same samples until
+    every sample lies in its antipode's component or k >= p - 1.
     """
     if not body.is_symmetric:
         raise BodyNotSymmetric("boundary graph needs a centrally symmetric body")
@@ -104,6 +104,8 @@ def build_boundary_graph(
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     else:
         directions = np.asarray(directions, dtype=float)
+        if not directions.size or not np.all(np.isfinite(directions)):
+            raise InvalidParameter("directions need at least one row, all finite")
     half = body.boundary_point(directions)
     samples = np.vstack([half, -half])
     p = len(samples)
@@ -126,14 +128,16 @@ def build_boundary_graph(
 
 
 def _neighbor_graph(body, samples, k) -> csr_matrix:
-    """Each sample joined to its k nearest samples, weighted by the gauge."""
+    """Each first-half sample joined to its k nearest, weighted by the gauge,
+    and its edges mirrored by x -> -x onto the second half's samples."""
     p = len(samples)
-    idx = cKDTree(samples).query(samples, k=min(k + 1, p))[1]
-    rows = np.repeat(np.arange(p), idx.shape[1] - 1)
+    h = p // 2
+    idx = cKDTree(samples).query(samples[:h], k=min(k + 1, p))[1]
+    rows = np.repeat(np.arange(h), idx.shape[1] - 1)
     cols = idx[:, 1:].ravel()
     # a chord to a sample's own antipode passes through 0, where no
     # boundary ray is defined
-    keep = cols != (rows + p // 2) % p
+    keep = cols != rows + h
     rows, cols = rows[keep], cols[keep]
     # the gauge in n equal slices of at most BLOCK_FLOATS differences'
     # coordinates: a slice of 1 row can move bits (polytope matvec), one of
@@ -145,11 +149,8 @@ def _neighbor_graph(body, samples, k) -> csr_matrix:
     for i in range(n):
         part = slice(i * e // n, (i + 1) * e // n)
         weights[part] = body.gauge(samples[cols[part]] - samples[rows[part]])
-    graph = csr_matrix((weights, (rows, cols)), shape=(p, p))
-    # with the antipodal image of every edge, x -> -x maps the graph onto
-    # itself even where neighbor distances tie, so d(x, -y) = d(-x, y)
-    rows, cols = (rows + p // 2) % p, (cols + p // 2) % p
-    graph = graph.maximum(csr_matrix((weights, (rows, cols)), shape=(p, p)))
+    rows, cols = np.append(rows, rows + h), np.append(cols, (cols + h) % p)
+    graph = csr_matrix((np.tile(weights, 2), (rows, cols)), shape=(p, p))
     return graph.maximum(graph.T)  # symmetrize the neighbor relation
 
 

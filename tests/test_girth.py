@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from symcap import girth
 from symcap.errors import (
@@ -114,6 +115,17 @@ def test_graph_disconnected_raises():
     assert bg.graph.nnz == 0
     with pytest.raises(GraphDisconnected):
         shortest_antipodal_path(bg, 0)
+
+
+@pytest.mark.parametrize(
+    "directions",
+    [np.empty((0, 2)), [[np.nan, 1.0]], [[1.0, 0.0], [np.inf, 1.0]]],
+    ids=["empty", "nan", "inf"],
+)
+def test_bad_directions_raise_invalid_parameter(directions):
+    # numpy's empty reduction and cKDTree's finiteness check were the errors
+    with pytest.raises(InvalidParameter, match="at least one row, all finite"):
+        build_boundary_graph(ball(2), directions=directions)
 
 
 def test_refinement_monotone_and_on_boundary():
@@ -364,6 +376,44 @@ def test_blocked_graph_and_search_match_the_one_batch_references(
         assert len(graph_calls) > 1
     elif n_samples == 4096:
         assert searched[0] > girth.SEARCH_CHUNK  # several radius blocks
+
+
+@pytest.mark.parametrize(
+    "make_body, one_row_short",
+    [
+        (partial(lp_ball, 4.0, np.ones(4)), False),
+        (partial(lp_ball, 1, np.ones(4)), True),
+    ],
+    ids=["l4", "cross4-one-row-short"],
+)
+def test_boundary_graph_gauges_one_sample_of_each_pair(
+    monkeypatch, make_body, one_row_short
+):
+    # the first half's edges are gauged, and only they: the second half's
+    # are their mirror images, and the graph is the one-batch reference's
+    body = make_body()
+    samples = build_boundary_graph(body, 4096, rng=0).samples
+    k, half = girth.NEIGHBORS, len(samples) // 2
+    nearest = cKDTree(samples).query(samples[:half], k=k + 1)[1][:, 1:]
+    kept = np.count_nonzero(nearest != np.arange(half)[:, None] + half)
+    if one_row_short:
+        # slices of kept - 1 rows cut from the front would leave one of 1
+        # row, whose gauge takes BLAS's matvec path
+        monkeypatch.setattr(girth, "BLOCK_FLOATS", (kept - 1) * body.dim)
+    kernel, gauged = body.gauge, []
+
+    def counting_gauge(x):
+        gauged.append(len(x))
+        return kernel(x)
+
+    body.gauge = counting_gauge
+    graph = girth._neighbor_graph(body, samples, k)
+    del body.gauge
+    assert sum(gauged) == kept <= k * half
+    assert min(gauged) > 1
+    ref = reference_neighbor_graph(body, samples, k)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(graph, part).tobytes() == getattr(ref, part).tobytes()
 
 
 def test_girth_source_keeps_the_radius_cadence():
